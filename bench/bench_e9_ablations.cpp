@@ -1,12 +1,9 @@
 // E9 — design-choice ablations (not a paper claim; engineering study of
 // the implementation choices DESIGN.md calls out).
 //
-//  A1  causality-graph edge mode: full-paper edges (from every element of
-//      C(m)) vs frontier edges (causally-maximal only) — same transitive
-//      closure, far fewer edges.
-//  A2  update contents: full CG_i per update (the paper's letter) vs
+//  A1  update contents: full CG_i per update (the paper's letter) vs
 //      per-message deltas — same behaviour, far less gossip weight.
-//  A3  promote cadence: every λ-step (the paper's letter) vs
+//  A2  promote cadence: every λ-step (the paper's letter) vs
 //      promote-on-change with periodic refresh — the dominant wire cost.
 //
 // Invariant for every ablation: byte-for-byte identical final delivery
@@ -81,7 +78,7 @@ void printTable() {
               "(n=3, tau_Omega=1200, 24 causally chained broadcasts)\n\n");
   Table t({"variant", "weight", "msgs", "cg_edges", "same_d", "spec"}, 15);
 
-  EtobConfig paper;  // the paper's letter: full edges, full updates, λ-promotes
+  EtobConfig paper;  // the paper's letter: full updates, λ-promotes
   std::vector<std::vector<MsgId>> baselineSeqs;
   {
     auto base = run(paper, 1, nullptr);
@@ -117,13 +114,6 @@ void printTable() {
     });
     baselineSeqs = finalSequences(sim);
   }
-
-  EtobConfig frontier = paper;
-  frontier.edgeMode = CgEdgeMode::kFrontier;
-  auto a1 = run(frontier, 1, &baselineSeqs);
-  t.row({"frontier-edges", std::to_string(a1.weight), std::to_string(a1.messages),
-         std::to_string(a1.cgEdges), a1.identicalToBaseline ? "yes" : "NO",
-         a1.specOk ? "ok" : "FAIL"});
 
   EtobConfig delta = paper;
   delta.deltaUpdates = true;

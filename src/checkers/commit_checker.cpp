@@ -51,10 +51,7 @@ CommitCheckReport checkCommitSafety(const Trace& trace,
       // prefix verbatim.
       for (const DeliverySnapshot& snap : snapshots) {
         if (snap.order < ev.order) continue;
-        const bool ok =
-            snap.seq.size() >= prefix.size() &&
-            std::equal(prefix.begin(), prefix.end(), snap.seq.begin());
-        if (!ok) {
+        if (!isPrefix(prefix, snap.seq)) {
           std::ostringstream os;
           os << "commit: prefix of length " << commit->length << " committed at p"
              << p << " (t=" << ev.time << ") changed at t=" << snap.time;

@@ -5,6 +5,7 @@
 // counter as the global clock (the simulator advances it by one per step).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -44,6 +45,14 @@ constexpr ProcessId msgIdOrigin(MsgId id) {
 /// Per-origin sequence number of a MsgId.
 constexpr std::uint32_t msgIdSeq(MsgId id) {
   return static_cast<std::uint32_t>(id & 0xffffffffu);
+}
+
+/// True iff `prefix` is a prefix of the message sequence `seq` (e.g. a
+/// delivery sequence that only extended, or a committed prefix it holds).
+inline bool isPrefix(const std::vector<MsgId>& prefix,
+                     const std::vector<MsgId>& seq) {
+  return seq.size() >= prefix.size() &&
+         std::equal(prefix.begin(), prefix.end(), seq.begin());
 }
 
 /// Multivalued consensus value. The paper defines binary EC and notes the

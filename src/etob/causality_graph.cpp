@@ -10,14 +10,7 @@ void CausalityGraph::addMessage(const AppMsg& m, const std::vector<MsgId>& deps)
   if (contains(m.id)) return;
   graph_.addNode(m.id);
 
-  const std::vector<MsgId>* sources = &deps;
-  if (mode_ == CgEdgeMode::kFrontier) {
-    // Frontier mode: keep only causally-maximal dependencies. A dep that
-    // reaches another dep is implied transitively.
-    collapseDominated(deps, sourcesScratch_);
-    sources = &sourcesScratch_;
-  }
-  for (MsgId d : *sources) {
+  for (MsgId d : deps) {
     if (d == m.id) continue;
     // Unknown dependencies become placeholder nodes: the edge constrains
     // ordering; the content arrives later via update/union.
@@ -32,16 +25,12 @@ void CausalityGraph::addMessage(const AppMsg& m, const std::vector<MsgId>& deps)
 }
 
 void CausalityGraph::unionWith(const CausalityGraph& other) {
-  // stablePredSets holds in kFullPaper mode: a message's in-edges are
-  // exactly C(m) \ {m}, installed atomically by addMessage (empty until
-  // then for placeholder nodes), so any two graphs agree on every
-  // nonempty pred set and the union can skip settled nodes outright
-  // (debug builds cross-check the set equality). kFrontier re-collapses
-  // deps against each receiver's local graph, so different processes can
-  // hold different — closure-equivalent — pred sets for the same node;
-  // that mode keeps the general merging union.
-  graph_.unionWith(other.graph_, unionMapScratch_,
-                   /*stablePredSets=*/mode_ == CgEdgeMode::kFullPaper);
+  // stablePredSets holds: a message's in-edges are exactly C(m) \ {m},
+  // installed atomically by addMessage (empty until then for placeholder
+  // nodes), so any two graphs agree on every nonempty pred set and the
+  // union can skip settled nodes outright (debug builds cross-check the
+  // set equality).
+  graph_.unionWith(other.graph_, unionMapScratch_, /*stablePredSets=*/true);
   syncNodeArrays();
   // Only the other graph's nodes can have gained bodies or in-edges;
   // revisit exactly those.
@@ -236,64 +225,6 @@ void CausalityGraph::emitBatch() {
     if (emitted_[idx] || !bodyKnown_[idx] || unmetPreds_[idx] != 0) continue;
     emitNode(idx);
   }
-}
-
-void CausalityGraph::collapseDominated(const std::vector<MsgId>& deps,
-                                       std::vector<MsgId>& out) {
-  out.clear();
-  if (deps.size() < 2) {
-    out.assign(deps.begin(), deps.end());
-    return;
-  }
-  // One multi-source BACKWARD flood from all deps: a node stamped here is
-  // a strict ancestor of some dep (acyclicity rules out self-paths), so a
-  // dep that ends up stamped reaches another dep and is dominated. This
-  // replaces the former O(deps²) pairwise reaches() scan — the cubic term
-  // of the E8 profile once autoCausal inflates the dep list.
-  if (visitStamp_.size() < graph_.nodeCount()) {
-    visitStamp_.resize(graph_.nodeCount(), 0);
-  }
-  if (++visitEpoch_ == 0) {
-    std::fill(visitStamp_.begin(), visitStamp_.end(), 0);
-    visitEpoch_ = 1;
-  }
-  floodStack_.clear();
-  for (MsgId d : deps) {
-    if (const auto idx = graph_.indexOf(d)) floodStack_.push_back(*idx);
-  }
-  while (!floodStack_.empty()) {
-    const std::uint32_t cur = floodStack_.back();
-    floodStack_.pop_back();
-    for (const std::uint32_t nxt : graph_.predIndices(cur)) {
-      if (visitStamp_[nxt] == visitEpoch_) continue;
-      visitStamp_[nxt] = visitEpoch_;
-      floodStack_.push_back(nxt);
-    }
-  }
-  for (MsgId d : deps) {
-    const auto idx = graph_.indexOf(d);
-    const bool dominated = idx.has_value() && visitStamp_[*idx] == visitEpoch_;
-    if (!dominated) out.push_back(d);
-  }
-  WFD_DCHECK(noDominatedSource(deps, out));
-}
-
-bool CausalityGraph::noDominatedSource(const std::vector<MsgId>& deps,
-                                       const std::vector<MsgId>& sources) const {
-  // Debug-only mirror of the pre-flood pairwise dominance scan; the flood
-  // must select exactly the deps the scan would have kept.
-  std::vector<MsgId> expect;
-  for (MsgId d : deps) {
-    bool dominated = false;
-    for (MsgId other : deps) {
-      if (other != d && graph_.reaches(d, other)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) expect.push_back(d);
-  }
-  return expect == sources;
 }
 
 }  // namespace wfd

@@ -6,12 +6,9 @@
 // in-edge of m is created at m's broadcast, and C(m) only contains
 // messages created strictly earlier in real time.
 //
-// Two edge modes with the same transitive closure:
-//  * kFullPaper — edges from *every* element of C(m), as written in the
-//    paper's UpdateCG;
-//  * kFrontier — edges only from the causally-maximal elements of C(m)
-//    (the graph's current sinks plus the explicit dependencies). Cheaper,
-//    and provably closure-equivalent because every node reaches a sink.
+// Edges are exactly the paper's UpdateCG: one from every element of C(m).
+// EtobAutomaton fills C(m) with the sender's causal frontier (closure-
+// equivalent to every known message), so the edge set stays small.
 //
 // Layout: message bodies live in a flat vector parallel to the graph's
 // insertion-index space (bodies_[i] is the content of node i once
@@ -29,12 +26,8 @@
 
 namespace wfd {
 
-enum class CgEdgeMode { kFullPaper, kFrontier };
-
 class CausalityGraph {
  public:
-  explicit CausalityGraph(CgEdgeMode mode = CgEdgeMode::kFullPaper) : mode_(mode) {}
-
   /// The paper's UpdateCG(m, C(m)): adds node m and edges {(m', m) |
   /// m' ∈ deps}. C(m) is supplied by the application and may reference
   /// messages whose content this process has not received yet (e.g. a
@@ -119,8 +112,6 @@ class CausalityGraph {
   /// Equivalent to the batch extendPromote(base).
   const std::vector<MsgId>& resetPromote(const std::vector<MsgId>& base);
 
-  CgEdgeMode mode() const { return mode_; }
-
  private:
   /// Grows the per-node parallel arrays to the graph's node count.
   void syncNodeArrays();
@@ -133,16 +124,7 @@ class CausalityGraph {
   /// Fallback: full topo walk appending every promotable node (exact
   /// batch order).
   void emitBatch();
-  /// kFrontier dominance collapse: drops every dep that reaches another
-  /// dep (it is implied transitively). One multi-source backward flood
-  /// instead of the former O(deps²) pairwise reaches() scan.
-  void collapseDominated(const std::vector<MsgId>& deps,
-                         std::vector<MsgId>& out);
-  /// Debug cross-check: the flood result must match the pairwise scan.
-  bool noDominatedSource(const std::vector<MsgId>& deps,
-                         const std::vector<MsgId>& sources) const;
 
-  CgEdgeMode mode_;
   Digraph<MsgId> graph_;
   /// Content per node index; meaningful only where bodyKnown_[i] != 0
   /// (placeholder nodes keep a default-constructed slot).
@@ -159,12 +141,7 @@ class CausalityGraph {
   std::vector<std::uint32_t> ready_;
   std::vector<char> readyFlag_;
 
-  // Reused scratch (dominance flood + union bookkeeping), stamp-versioned
-  // so clears are O(touched) not O(nodes).
-  std::vector<std::uint32_t> visitStamp_;
-  std::uint32_t visitEpoch_ = 0;
-  std::vector<std::uint32_t> floodStack_;
-  std::vector<MsgId> sourcesScratch_;
+  /// Reused union bookkeeping (other graph index -> this graph index).
   std::vector<std::uint32_t> unionMapScratch_;
 };
 

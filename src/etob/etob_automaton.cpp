@@ -4,12 +4,127 @@
 
 namespace wfd {
 
-bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
-                         const CausalityGraph& cg,
-                         std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
-  if (msg.epoch <= chain.epoch) return false;  // stale duplicate
+EtobAutomaton::EtobAutomaton(EtobConfig config) : config_(config) {}
+
+void EtobAutomaton::onInput(const StepContext&, const Payload& input, Effects& fx) {
+  const auto* bcast = input.as<BroadcastInput>();
+  if (bcast == nullptr) return;
+
+  AppMsg m = bcast->msg;
+  std::vector<MsgId> deps = m.causalDeps;
+  // C(m) ⊇ everything this process has sent or received so far. Listing
+  // the causal frontier (the graph's sinks) is closure-equivalent to
+  // listing every known message — every known message reaches a sink —
+  // and promote order depends only on the closure.
+  for (MsgId known : cg_.frontier()) deps.push_back(known);
+  cg_.addMessage(m, deps);
+  if (config_.deltaUpdates) {
+    const std::size_t weight = 3 + m.body.size() + deps.size();
+    fx.broadcast(Payload::of(EtobDeltaMsg{std::move(m), std::move(deps)}), weight);
+  } else {
+    fx.broadcast(Payload::of(EtobUpdateMsg{cg_}), cg_.approxWeight());
+  }
+}
+
+void EtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
+                              const Payload& msg, Effects& fx) {
+  if (const auto* update = msg.as<EtobUpdateMsg>()) {
+    cg_.unionWith(update->cg);
+    pruneAdopted(update->cg);
+    cg_.extendPromote();
+    return;
+  }
+  if (const auto* delta = msg.as<EtobDeltaMsg>()) {
+    cg_.addMessage(delta->msg, delta->deps);
+    adoptedBodies_.erase(delta->msg.id);
+    cg_.extendPromote();
+    return;
+  }
+  if (const auto* promote = msg.as<EtobPromoteMsg>()) {
+    adoptPromote(ctx, from, *promote, {}, fx);
+    return;
+  }
+}
+
+void EtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
+  if (ctx.fd.leader != ctx.self) {
+    wasLeader_ = false;
+    return;
+  }
+  const bool justElected = !wasLeader_;
+  wasLeader_ = true;
+  const std::vector<MsgId>& promote = cg_.promoteSequence();
+  ++lambdasSincePromote_;
+  if (config_.promoteRefreshEvery > 1) {
+    const bool changed = rebased_ || promote.size() != lastSentLen_;
+    const bool refreshDue = lambdasSincePromote_ >= config_.promoteRefreshEvery;
+    if (!changed && !justElected && !refreshDue) return;
+  }
+  // Delta-encode against the previous sent promote: between rebases
+  // promote_i only grows, so the suffix past lastSentLen_ plus the base
+  // length reconstructs the full sequence at every receiver. The first
+  // promote has lastSentLen_ == 0 and is naturally a full snapshot; a
+  // rebase forces one.
+  const std::size_t base = config_.deltaPromotes && !rebased_ ? lastSentLen_ : 0;
+  WFD_DCHECK(base <= promote.size());
+  // Every id in promote_i has its body in cg_: the engine emits only
+  // known bodies, and a rebase learns its prefix's content first.
+  std::vector<AppMsg> seq;
+  seq.reserve(promote.size() - base);
+  std::size_t weight = config_.deltaPromotes ? 3 : 2;  // +1 word for baseLen
+  for (std::size_t k = base; k < promote.size(); ++k) {
+    seq.push_back(cg_.message(promote[k]));
+    weight += 2 + seq.back().body.size();
+  }
+  lambdasSincePromote_ = 0;
+  lastSentLen_ = promote.size();
+  rebased_ = false;
+  ++promoteEpoch_;
+  fx.broadcast(Payload::of(EtobPromoteMsg{std::move(seq), promoteEpoch_, base}),
+               weight);
+}
+
+const AppMsg* EtobAutomaton::findMessage(MsgId id) const {
+  if (cg_.contains(id)) return &cg_.message(id);
+  auto it = adoptedBodies_.find(id);
+  return it == adoptedBodies_.end() ? nullptr : &it->second;
+}
+
+std::uint64_t EtobAutomaton::adoptPromote(const StepContext& ctx, ProcessId from,
+                                          const EtobPromoteMsg& msg,
+                                          const std::vector<MsgId>& floor,
+                                          Effects& fx) {
+  PromoteChain& chain = chains_[from];
+  advanceChain(chain, msg);
+  // Adopt the reconstructed sequence only if it comes from the process
+  // this module's Omega currently trusts, and only in send order (stale
+  // reordered promotes from the same sender are discarded: the chain
+  // head only ever moves forward).
+  if (ctx.fd.leader != from || chain.epoch <= adoptedEpoch_[from]) return 0;
+  if (!isPrefix(floor, chain.ids)) return 0;
+  adoptedEpoch_[from] = chain.epoch;
+  deliver(chain.ids, fx);
+  return chain.epoch;
+}
+
+void EtobAutomaton::rebase(const std::vector<AppMsg>& prefix,
+                           const std::vector<MsgId>& ids) {
+  for (const AppMsg& m : prefix) {
+    cg_.addMessage(m, {});
+    adoptedBodies_.erase(m.id);
+  }
+  cg_.resetPromote(ids);
+  rebased_ = true;
+}
+
+void EtobAutomaton::deliver(const std::vector<MsgId>& seq, Effects& fx) {
+  d_ = seq;
+  fx.deliverSequence(d_);
+}
+
+void EtobAutomaton::advanceChain(PromoteChain& chain, const EtobPromoteMsg& msg) {
+  if (msg.epoch <= chain.epoch) return;  // stale duplicate
   chain.pending.emplace(msg.epoch, msg);
-  bool advanced = false;
   while (!chain.pending.empty()) {
     const auto it = chain.pending.begin();
     if (it->first <= chain.epoch) {  // superseded by a newer full snapshot
@@ -33,115 +148,11 @@ bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
       chain.ids.push_back(m.id);
       // Stash content the causality graph doesn't know yet so every id in
       // the reconstructed sequence stays resolvable via findMessage.
-      if (!cg.contains(m.id)) adoptedBodies.emplace(m.id, m);
+      if (!cg_.contains(m.id)) adoptedBodies_.emplace(m.id, m);
     }
     chain.epoch = it->first;
     chain.pending.erase(it);
-    advanced = true;
   }
-  return advanced;
-}
-
-EtobAutomaton::EtobAutomaton(EtobConfig config)
-    : config_(config), cg_(config.edgeMode) {}
-
-void EtobAutomaton::onInput(const StepContext&, const Payload& input, Effects& fx) {
-  const auto* bcast = input.as<BroadcastInput>();
-  if (bcast == nullptr) return;
-
-  AppMsg m = bcast->msg;
-  std::vector<MsgId> deps = m.causalDeps;
-  if (config_.autoCausal) {
-    // C(m) ⊇ everything this process has sent or received so far. Listing
-    // the causal frontier (the graph's sinks) is closure-equivalent to
-    // listing every known message — every known message reaches a sink —
-    // and promote order depends only on the closure.
-    for (MsgId known : cg_.frontier()) deps.push_back(known);
-  }
-  cg_.addMessage(m, deps);
-  if (config_.deltaUpdates) {
-    const std::size_t weight = 3 + m.body.size() + deps.size();
-    fx.broadcast(Payload::of(EtobDeltaMsg{std::move(m), std::move(deps)}), weight);
-  } else {
-    fx.broadcast(Payload::of(EtobUpdateMsg{cg_}), cg_.approxWeight());
-  }
-}
-
-void EtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
-                              const Payload& msg, Effects& fx) {
-  if (const auto* update = msg.as<EtobUpdateMsg>()) {
-    cg_.unionWith(update->cg);
-    pruneAdopted(update->cg);
-    updatePromote();
-    return;
-  }
-  if (const auto* delta = msg.as<EtobDeltaMsg>()) {
-    cg_.addMessage(delta->msg, delta->deps);
-    adoptedBodies_.erase(delta->msg.id);
-    updatePromote();
-    return;
-  }
-  if (const auto* promote = msg.as<EtobPromoteMsg>()) {
-    auto& chain = chains_[from];
-    advancePromoteChain(chain, *promote, cg_, adoptedBodies_);
-    // Adopt the reconstructed sequence only if it comes from the process
-    // this module's Omega currently trusts, and only in send order (stale
-    // reordered promotes from the same sender are discarded: the chain
-    // head only ever moves forward).
-    if (ctx.fd.leader == from && chain.epoch > adoptedEpoch_[from]) {
-      adoptedEpoch_[from] = chain.epoch;
-      d_ = chain.ids;
-      fx.deliverSequence(d_);
-    }
-    return;
-  }
-}
-
-void EtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
-  const bool isLeader = ctx.fd.leader == ctx.self;
-  if (!isLeader) {
-    wasLeader_ = false;
-    return;
-  }
-  const std::vector<MsgId>& promote = cg_.promoteSequence();
-  ++lambdasSincePromote_;
-  if (config_.promoteRefreshEvery > 1) {
-    const bool changed = promote.size() != lastPromotedLen_;
-    const bool justElected = !wasLeader_;
-    const bool refreshDue = lambdasSincePromote_ >= config_.promoteRefreshEvery;
-    wasLeader_ = true;
-    if (!changed && !justElected && !refreshDue) return;
-  }
-  wasLeader_ = true;
-  lambdasSincePromote_ = 0;
-  lastPromotedLen_ = promote.size();
-  // Delta-encode against the previous sent promote: plain eTOB only ever
-  // appends to promote_i, so the suffix past lastSentLen_ plus the base
-  // length reconstructs the full sequence at every receiver. The first
-  // promote has lastSentLen_ == 0 and is naturally a full snapshot.
-  const std::size_t base = config_.deltaPromotes ? lastSentLen_ : 0;
-  WFD_DCHECK(base <= promote.size());
-  std::vector<AppMsg> seq;
-  seq.reserve(promote.size() - base);
-  std::size_t weight = config_.deltaPromotes ? 3 : 2;  // +1 word for baseLen
-  for (std::size_t k = base; k < promote.size(); ++k) {
-    seq.push_back(cg_.message(promote[k]));
-    weight += 2 + seq.back().body.size();
-  }
-  ++promoteEpoch_;
-  lastSentLen_ = promote.size();
-  fx.broadcast(Payload::of(EtobPromoteMsg{std::move(seq), promoteEpoch_, base}),
-               weight);
-}
-
-const AppMsg* EtobAutomaton::findMessage(MsgId id) const {
-  if (cg_.contains(id)) return &cg_.message(id);
-  auto it = adoptedBodies_.find(id);
-  return it == adoptedBodies_.end() ? nullptr : &it->second;
-}
-
-void EtobAutomaton::updatePromote() {
-  cg_.extendPromote();
 }
 
 void EtobAutomaton::pruneAdopted(const CausalityGraph& learned) {

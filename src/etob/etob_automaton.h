@@ -51,14 +51,15 @@ namespace wfd {
 /// that over non-FIFO links. See docs/ARCHITECTURE.md ("The eTOB data
 /// path").
 ///
-/// Delta encoding: a plain eTOB leader only ever APPENDS to promote_i, so
-/// instead of re-shipping the whole sequence each λ, `seq` carries just
-/// the suffix past `baseLen` (the sequence length at the sender's
-/// previous promote epoch), and `baseLen == 0` marks a self-contained
-/// full snapshot (first promote, empty previous sequence, or a §7 rebase).
-/// Receivers reconstruct per-sender sequences in epoch order
-/// (PromoteChain below); a delta whose base epoch hasn't arrived yet is
-/// buffered, never dropped — reliable links guarantee the chain fills.
+/// Delta encoding: between §7 rebases a leader only ever APPENDS to
+/// promote_i, so instead of re-shipping the whole sequence each λ, `seq`
+/// carries just the suffix past `baseLen` (the sequence length at the
+/// sender's previous promote epoch), and `baseLen == 0` marks a
+/// self-contained full snapshot (first promote, empty previous sequence,
+/// or a rebase). Receivers reconstruct per-sender sequences in epoch
+/// order (EtobAutomaton::PromoteChain); a delta whose base epoch hasn't
+/// arrived yet is buffered, never dropped — reliable links guarantee the
+/// chain fills.
 struct EtobPromoteMsg {
   std::vector<AppMsg> seq;
   std::uint64_t epoch = 0;
@@ -76,38 +77,7 @@ struct EtobDeltaMsg {
   std::vector<MsgId> deps;
 };
 
-/// Per-sender reconstruction of a leader's promote sequence from
-/// delta-encoded promotes. `epoch`/`ids` is the newest contiguously
-/// reconstructed prefix of the sender's promote history; out-of-order
-/// deltas wait in `pending` until the promote they extend arrives
-/// (promote epochs from one sender are contiguous — the counter advances
-/// exactly once per sent promote).
-struct PromoteChain {
-  std::uint64_t epoch = 0;
-  std::vector<MsgId> ids;
-  std::map<std::uint64_t, EtobPromoteMsg> pending;
-};
-
-/// Ingests one promote message into the per-sender chain, splicing every
-/// pending epoch that becomes reconstructible (a full snapshot resets the
-/// chain and may jump gaps). Message bodies carried in spliced suffixes
-/// that the causality graph does not know yet are stashed into
-/// `adoptedBodies` so every reconstructed sequence stays fully resolvable
-/// (rsm::Replica hard-requires content for every delivered id). Returns
-/// true if the chain advanced.
-bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
-                         const CausalityGraph& cg,
-                         std::unordered_map<MsgId, AppMsg>& adoptedBodies);
-
 struct EtobConfig {
-  CgEdgeMode edgeMode = CgEdgeMode::kFullPaper;
-  /// If true, C(m) is extended with the causal frontier of everything the
-  /// sender currently knows (the sinks of CG_i). Closure-equivalent to
-  /// listing every known message — every known message reaches a sink —
-  /// so promote sequences are unchanged (see the kFrontier argument in
-  /// causality_graph.h), but the dep list shrinks from O(M) to the
-  /// frontier width.
-  bool autoCausal = true;
   /// If true, broadcasts EtobDeltaMsg instead of the paper's full-graph
   /// update(CG_i). Behaviour-preserving; weight-saving.
   bool deltaUpdates = false;
@@ -117,13 +87,15 @@ struct EtobConfig {
   /// per-λ promote weight to the newly appended suffix.
   bool deltaPromotes = true;
   /// Leader promote cadence: 1 = the paper's "on every local timeout".
-  /// N > 1 = promote when the sequence changed, when leadership was just
-  /// (re)acquired, or at least every N λ-steps (the refresh keeps the
-  /// convergence bound at τ_Ω + N·Δ_t + Δ_c).
+  /// N > 1 = promote when the sequence changed (or was rebased), when
+  /// leadership was just (re)acquired, or at least every N λ-steps (the
+  /// refresh keeps the convergence bound at τ_Ω + N·Δ_t + Δ_c).
   std::uint64_t promoteRefreshEvery = 1;
 };
 
-/// Process-local ET OB automaton.
+/// Process-local ET OB automaton — the one implementation of Algorithm 5.
+/// The §7 commit layer (commit_etob.h) owns one and drives it through the
+/// layer hooks below.
 class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
  public:
   explicit EtobAutomaton(EtobConfig config = {});
@@ -138,7 +110,8 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
   /// BroadcastAutomatonLike concept used by the ETOB->EC transformation.
   const AppMsg* findMessage(MsgId id) const;
 
-  /// Test/bench introspection.
+  /// d_i and promote_i (also read by the §7 layer), plus test/bench
+  /// introspection.
   const std::vector<MsgId>& delivered() const { return d_; }
   const std::vector<MsgId>& promoteSequence() const {
     return cg_.promoteSequence();
@@ -148,10 +121,47 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
   /// (pruned on cg_ ingestion — the satellite leak regression).
   std::size_t adoptedBodyCount() const { return adoptedBodies_.size(); }
 
+  // -- Layer hooks (the §7 commit extension) -------------------------------
+
+  /// Ingests a promote from `from` and adopts the reconstructed sequence
+  /// as d_i iff `from` is the trusted leader, the epoch is newer than the
+  /// last one adopted from it, and the sequence extends `floor` (the §7
+  /// commit guard; plain eTOB passes an empty floor). Returns the adopted
+  /// epoch, or 0 if nothing was adopted.
+  std::uint64_t adoptPromote(const StepContext& ctx, ProcessId from,
+                             const EtobPromoteMsg& msg,
+                             const std::vector<MsgId>& floor, Effects& fx);
+  /// Learns the content of `prefix` (whose ids are `ids`) and rebases
+  /// promote_i onto it. The sequence is no longer an extension of what was
+  /// last sent, so the next promote is a full snapshot.
+  void rebase(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids);
+  /// d_i := seq.
+  void deliver(const std::vector<MsgId>& seq, Effects& fx);
+  /// Epoch of this process's latest sent promote (0 = none yet).
+  std::uint64_t promoteEpoch() const { return promoteEpoch_; }
+
  private:
-  void updatePromote();
+  /// Per-sender reconstruction of a leader's promote sequence from
+  /// delta-encoded promotes. `epoch`/`ids` is the newest contiguously
+  /// reconstructed prefix of the sender's promote history; out-of-order
+  /// deltas wait in `pending` until the promote they extend arrives
+  /// (promote epochs from one sender are contiguous — the counter advances
+  /// exactly once per sent promote).
+  struct PromoteChain {
+    std::uint64_t epoch = 0;
+    std::vector<MsgId> ids;
+    std::map<std::uint64_t, EtobPromoteMsg> pending;
+  };
+
+  /// Ingests one promote message into the per-sender chain, splicing every
+  /// pending epoch that becomes reconstructible (a full snapshot resets the
+  /// chain and may jump gaps). Message bodies carried in spliced suffixes
+  /// that cg_ does not know yet are stashed into adoptedBodies_ so every
+  /// reconstructed sequence stays fully resolvable (rsm::Replica
+  /// hard-requires content for every delivered id).
+  void advanceChain(PromoteChain& chain, const EtobPromoteMsg& msg);
   /// Drops adoptedBodies_ entries now backed by cg_ (called after a
-  /// peer graph/delta is ingested).
+  /// peer graph is ingested).
   void pruneAdopted(const CausalityGraph& learned);
 
   EtobConfig config_;
@@ -167,12 +177,13 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
   std::uint64_t promoteEpoch_ = 0;
   std::unordered_map<ProcessId, std::uint64_t> adoptedEpoch_;
   std::unordered_map<ProcessId, PromoteChain> chains_;
-  /// Promote length covered by this leader's last sent promote (the delta
-  /// base; promote_i is append-only in plain eTOB).
+  /// Promote length covered by this leader's last sent promote: the delta
+  /// base and, since promote_i only grows between rebases, the "changed
+  /// since last promote" test of promote suppression.
   std::size_t lastSentLen_ = 0;
-  /// Promote-suppression state (promoteRefreshEvery > 1). promote_i is
-  /// append-only, so "changed since last promote" is a length compare.
-  std::size_t lastPromotedLen_ = 0;
+  /// A rebase happened since the last sent promote: send a full snapshot.
+  bool rebased_ = false;
+  /// Promote-suppression state (promoteRefreshEvery > 1).
   std::uint64_t lambdasSincePromote_ = 0;
   bool wasLeader_ = false;
 };

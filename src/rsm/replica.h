@@ -81,11 +81,8 @@ class ReplicaAutomaton final
   }
 
   void syncMachine(const std::vector<MsgId>& seq) {
-    const bool isExtension =
-        seq.size() >= applied_.size() &&
-        std::equal(applied_.begin(), applied_.end(), seq.begin());
     std::size_t from = applied_.size();
-    if (!isExtension) {
+    if (!isPrefix(applied_, seq)) {
       machine_ = Machine{};
       ++rebuilds_;
       from = 0;

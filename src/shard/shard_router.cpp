@@ -1,7 +1,5 @@
 #include "shard/shard_router.h"
 
-#include <algorithm>
-
 #include "common/ensure.h"
 #include "rsm/state_machines.h"
 
@@ -61,11 +59,12 @@ void ShardRouter::foldShard(std::size_t s) {
     prefix = c.delivered();
   }
   FoldState& f = folds_[s];
+  // A prefix of what is already folded is a lagging replica (e.g. the
+  // read replica just switched after a crash), not a rewrite: keep the
+  // fold, so reads stay monotone. Only a true conflict refolds.
+  if (isPrefix(prefix, f.folded)) return;
   std::size_t from = f.folded.size();
-  const bool extension =
-      prefix.size() >= f.folded.size() &&
-      std::equal(f.folded.begin(), f.folded.end(), prefix.begin());
-  if (!extension) {
+  if (!isPrefix(f.folded, prefix)) {
     f.kv.clear();
     f.versions.clear();
     ++refolds_;

@@ -7,9 +7,11 @@
 // poll() fetches each shard's committed prefix, decodes the NEW suffix
 // of put commands (Client::findBody) into a per-shard key→value map,
 // and resolves pending writes it sees commit. A committed prefix can
-// only extend under the §7 proviso, so the fold is incremental; on the
-// delivered()-fallback stacks (no commit indications) a rewrite triggers
-// a full refold, counted in refolds(). Reads therefore return only
+// only extend under the §7 proviso, so the fold is incremental; a
+// prefix SHORTER than the fold (a lagging replica after a read-replica
+// switch-over) keeps the fold. Only a true conflict — on the
+// delivered()-fallback stacks (no commit indications) a rewrite —
+// triggers a full refold, counted in refolds(). Reads therefore return only
 // COMMITTED state — the read-your-writes guarantee the sharded_kv
 // checker verifies is "my write is visible once the router saw it
 // commit", per shard, the strongest a client can ask of an eventually

@@ -26,9 +26,7 @@ bool Trace::recordDelivered(ProcessId p, Time t, std::vector<MsgId> seq) {
 
   // Prefix check: old must be a prefix of seq for the update to be a pure
   // extension (no revocation or reorder).
-  const bool isExtension =
-      seq.size() >= old.size() && std::equal(old.begin(), old.end(), seq.begin());
-  if (!isExtension) {
+  if (!isPrefix(old, seq)) {
     ++prefixViolations_.at(p);
     lastViolationAt_.at(p) = t;
   }

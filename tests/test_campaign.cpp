@@ -347,12 +347,12 @@ TEST(ListCorpusFilesTest, FailsOnMissingDirectory) {
 
 TEST(ListCorpusFilesTest, CommittedCorpusListsEveryEntry) {
   // The committed corpus directory must be listable (this is what the
-  // corpus_replay_dir ctest target and --replay <dir> walk). ctest runs
-  // from the build dir; direct invocation from the repo root.
+  // corpus_replay_dir ctest target and --replay <dir> walk). Located via
+  // the source dir, so the test runs from any build directory.
   std::string error;
-  auto files = listCorpusFiles("tests/corpus", &error);
-  if (!files) files = listCorpusFiles("../tests/corpus", &error);
-  if (!files) GTEST_SKIP() << "corpus dir not found: " << error;
+  const auto files = listCorpusFiles(WFD_SOURCE_DIR "/tests/corpus", &error);
+  ASSERT_TRUE(files.has_value()) << error;
+  EXPECT_FALSE(files->empty());
   EXPECT_TRUE(std::is_sorted(files->begin(), files->end()));
   for (const std::string& path : *files) {
     std::string loadError;

@@ -141,132 +141,72 @@ TEST(CausalityGraphTest, DuplicatePromoteRejected) {
   EXPECT_THROW(cg.extendPromote({a.id, a.id}), InvariantError);
 }
 
-TEST(CausalityGraphTest, FrontierModeSameTransitiveClosure) {
-  // Build the same message history in both modes; reachability must agree.
-  CausalityGraph full(CgEdgeMode::kFullPaper), frontier(CgEdgeMode::kFrontier);
-  std::vector<AppMsg> msgs;
-  std::vector<MsgId> known;
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    AppMsg m = msg(i % 3, i / 3);
-    msgs.push_back(m);
-    full.addMessage(m, known);
-    frontier.addMessage(m, known);
-    known.push_back(m.id);
-  }
-  EXPECT_LE(frontier.edgeCount(), full.edgeCount());
-  for (const AppMsg& x : msgs) {
-    for (const AppMsg& y : msgs) {
-      if (x.id == y.id) continue;
-      EXPECT_EQ(full.causallyPrecedes(x.id, y.id),
-                frontier.causallyPrecedes(x.id, y.id))
-          << x.id << " -> " << y.id;
-    }
-  }
-}
-
-TEST(CausalityGraphTest, FrontierModeSamePromoteSequence) {
-  CausalityGraph full(CgEdgeMode::kFullPaper), frontier(CgEdgeMode::kFrontier);
-  std::vector<MsgId> known;
-  for (std::uint32_t i = 0; i < 9; ++i) {
-    AppMsg m = msg(i % 3, i / 3);
-    full.addMessage(m, known);
-    frontier.addMessage(m, known);
-    known.push_back(m.id);
-  }
-  EXPECT_EQ(full.extendPromote({}), frontier.extendPromote({}));
-}
-
 TEST(CausalityGraphTest, MessageLookupThrowsForUnknown) {
   CausalityGraph cg;
   EXPECT_THROW(cg.message(makeMsgId(1, 1)), InvariantError);
-}
-
-TEST(CausalityGraphTest, FrontierModeCollapsesDominatedExplicitDeps) {
-  // Mutation guard on the dominance collapse: explicit deps {a, b} with
-  // a ⇝ b must produce a single edge b -> c (a is implied transitively).
-  CausalityGraph cg(CgEdgeMode::kFrontier);
-  const AppMsg a = msg(0, 0), b = msg(0, 1), c = msg(0, 2);
-  cg.addMessage(a, {});
-  cg.addMessage(b, {a.id});
-  const std::size_t before = cg.edgeCount();
-  cg.addMessage(c, {a.id, b.id});
-  EXPECT_EQ(cg.edgeCount(), before + 1) << "dominated dep a must collapse";
-  EXPECT_TRUE(cg.causallyPrecedes(a.id, c.id)) << "still implied via b";
-  EXPECT_EQ(cg.frontier(), (std::vector<MsgId>{c.id}));
-  // Pairwise-incomparable deps all survive.
-  const AppMsg d = msg(1, 0), e = msg(2, 0), f = msg(1, 1);
-  cg.addMessage(d, {});
-  cg.addMessage(e, {});
-  const std::size_t mid = cg.edgeCount();
-  cg.addMessage(f, {c.id, d.id, e.id});
-  EXPECT_EQ(cg.edgeCount(), mid + 3) << "incomparable deps must all stay";
 }
 
 TEST(CausalityGraphTest, IncrementalMatchesBatchOnRandomEventStreams) {
   // Differential check of the incremental promote engine: after EVERY
   // event (add with placeholders, union) the maintained sequence must
   // equal replaying the batch reference over the same history.
-  for (const CgEdgeMode mode :
-       {CgEdgeMode::kFullPaper, CgEdgeMode::kFrontier}) {
-    std::uint64_t rng =
-        0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(mode);
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    // Global dep structure: message k depends on a random subset of the
-    // ids created before it, so any ingestion order is acyclic and
-    // out-of-order ingestion creates placeholders.
-    constexpr std::uint32_t kMsgs = 48;
-    std::vector<AppMsg> msgs;
-    std::vector<std::vector<MsgId>> deps(kMsgs);
-    for (std::uint32_t k = 0; k < kMsgs; ++k) {
-      msgs.push_back(msg(k % 4, k));
-      for (std::uint32_t j = 0; j < k; ++j) {
-        if (next() % 4 == 0) deps[k].push_back(msgs[j].id);
-      }
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  // Global dep structure: message k depends on a random subset of the
+  // ids created before it, so any ingestion order is acyclic and
+  // out-of-order ingestion creates placeholders.
+  constexpr std::uint32_t kMsgs = 48;
+  std::vector<AppMsg> msgs;
+  std::vector<std::vector<MsgId>> deps(kMsgs);
+  for (std::uint32_t k = 0; k < kMsgs; ++k) {
+    msgs.push_back(msg(k % 4, k));
+    for (std::uint32_t j = 0; j < k; ++j) {
+      if (next() % 4 == 0) deps[k].push_back(msgs[j].id);
     }
-    auto shuffled = [&] {
-      std::vector<std::uint32_t> order(kMsgs);
-      for (std::uint32_t k = 0; k < kMsgs; ++k) order[k] = k;
-      for (std::uint32_t k = kMsgs; k > 1; --k) {
-        std::swap(order[k - 1], order[next() % k]);
-      }
-      return order;
-    };
-    CausalityGraph a(mode), b(mode);
-    std::vector<MsgId> expectA, expectB;
-    auto check = [](CausalityGraph& cg, std::vector<MsgId>& expect) {
-      expect = cg.extendPromote(expect);  // batch reference (const)
-      ASSERT_EQ(cg.extendPromote(), expect);
-    };
-    const auto orderA = shuffled(), orderB = shuffled();
-    for (std::uint32_t step = 0; step < kMsgs; ++step) {
-      a.addMessage(msgs[orderA[step]], deps[orderA[step]]);
-      check(a, expectA);
-      b.addMessage(msgs[orderB[step]], deps[orderB[step]]);
-      check(b, expectB);
-      if (step % 5 == 4) {
-        a.unionWith(b);
-        check(a, expectA);
-      }
-      if (step % 7 == 6) {
-        b.unionWith(a);
-        check(b, expectB);
-      }
-    }
-    a.unionWith(b);
-    check(a, expectA);
-    EXPECT_EQ(expectA.size(), kMsgs) << "everything promotable in the end";
-    // Rebase equivalence: resetting onto a committed prefix equals the
-    // batch extension of that prefix.
-    const std::vector<MsgId> base(expectA.begin(),
-                                  expectA.begin() + kMsgs / 2);
-    const auto viaBatch = a.extendPromote(base);
-    EXPECT_EQ(a.resetPromote(base), viaBatch);
   }
+  auto shuffled = [&] {
+    std::vector<std::uint32_t> order(kMsgs);
+    for (std::uint32_t k = 0; k < kMsgs; ++k) order[k] = k;
+    for (std::uint32_t k = kMsgs; k > 1; --k) {
+      std::swap(order[k - 1], order[next() % k]);
+    }
+    return order;
+  };
+  CausalityGraph a, b;
+  std::vector<MsgId> expectA, expectB;
+  auto check = [](CausalityGraph& cg, std::vector<MsgId>& expect) {
+    expect = cg.extendPromote(expect);  // batch reference (const)
+    ASSERT_EQ(cg.extendPromote(), expect);
+  };
+  const auto orderA = shuffled(), orderB = shuffled();
+  for (std::uint32_t step = 0; step < kMsgs; ++step) {
+    a.addMessage(msgs[orderA[step]], deps[orderA[step]]);
+    check(a, expectA);
+    b.addMessage(msgs[orderB[step]], deps[orderB[step]]);
+    check(b, expectB);
+    if (step % 5 == 4) {
+      a.unionWith(b);
+      check(a, expectA);
+    }
+    if (step % 7 == 6) {
+      b.unionWith(a);
+      check(b, expectB);
+    }
+  }
+  a.unionWith(b);
+  check(a, expectA);
+  EXPECT_EQ(expectA.size(), kMsgs) << "everything promotable in the end";
+  // Rebase equivalence: resetting onto a committed prefix equals the
+  // batch extension of that prefix.
+  const std::vector<MsgId> base(expectA.begin(),
+                                expectA.begin() + kMsgs / 2);
+  const auto viaBatch = a.extendPromote(base);
+  EXPECT_EQ(a.resetPromote(base), viaBatch);
 }
 
 TEST(CausalityGraphTest, FrontierReturnsCausallyMaximal) {

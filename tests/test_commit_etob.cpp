@@ -154,6 +154,74 @@ TEST(CommitEtobTest, IndicationMonotonePerProcess) {
   }
 }
 
+/// Commit-eTOB probe that counts the promotes its automaton broadcasts
+/// (the wrapped automaton sees exactly the same steps and effects).
+class PromoteCountingCommitEtob final
+    : public CloneableAutomaton<PromoteCountingCommitEtob> {
+ public:
+  explicit PromoteCountingCommitEtob(EtobConfig config) : inner_(config) {}
+
+  void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override {
+    inner_.onInput(ctx, input, fx);
+  }
+  void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
+                 Effects& fx) override {
+    inner_.onMessage(ctx, from, msg, fx);
+  }
+  void onTimeout(const StepContext& ctx, Effects& fx) override {
+    const std::size_t before = fx.sends().size();
+    inner_.onTimeout(ctx, fx);
+    for (std::size_t k = before; k < fx.sends().size(); ++k) {
+      if (fx.sends()[k].payload.holds<EtobPromoteMsg>()) ++promotes_;
+    }
+  }
+
+  std::uint64_t promotes() const { return promotes_; }
+
+ private:
+  CommitEtobAutomaton inner_;
+  std::uint64_t promotes_ = 0;
+};
+
+TEST(CommitEtobTest, HonoursPromoteRefreshEvery) {
+  // Promote suppression is a knob of the Algorithm 5 core; the §7 layer
+  // inherits it. Under a stable leader it must cut the promotes sent
+  // while every broadcast still commits everywhere, safely.
+  const auto promotesSent = [](std::uint64_t refreshEvery) {
+    auto cfg = commitConfig(3);
+    auto fp = FailurePattern::noFailures(3);
+    auto omega = std::make_shared<OmegaFd>(fp, 0, OmegaPreStabilization::kStable);
+    Simulator sim(cfg, fp, omega);
+    EtobConfig protoCfg;
+    protoCfg.promoteRefreshEvery = refreshEvery;
+    for (ProcessId p = 0; p < 3; ++p) {
+      sim.addProcess(p, std::make_unique<PromoteCountingCommitEtob>(protoCfg));
+    }
+    BroadcastWorkload w;
+    w.perProcess = 5;
+    auto log = scheduleBroadcastWorkload(sim, w);
+    sim.run();
+    const auto commit = checkCommitSafety(sim.trace(), fp);
+    EXPECT_TRUE(commit.safetyOk())
+        << (commit.errors.empty() ? "" : commit.errors[0]);
+    EXPECT_EQ(commit.committedLenAllCorrect, log.size())
+        << "promoteRefreshEvery=" << refreshEvery;
+    const auto report = checkBroadcastRun(sim.trace(), log, fp);
+    EXPECT_TRUE(report.coreOk())
+        << (report.errors.empty() ? "" : report.errors[0]);
+    std::uint64_t total = 0;
+    for (ProcessId p = 0; p < 3; ++p) {
+      total += static_cast<const PromoteCountingCommitEtob&>(sim.automaton(p))
+                   .promotes();
+    }
+    return total;
+  };
+  const std::uint64_t everyLambda = promotesSent(1);
+  const std::uint64_t suppressed = promotesSent(50);
+  EXPECT_GT(suppressed, 0u);
+  EXPECT_LT(suppressed, everyLambda);
+}
+
 // Sweep: commit safety across seeds and environments with a majority.
 class CommitSweepTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};

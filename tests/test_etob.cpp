@@ -262,13 +262,12 @@ TEST(EtobTest, AdoptedBodiesDrainAfterConvergence) {
   }
 }
 
-// Property sweep: the ETOB spec holds across seeds, process counts,
-// pre-stabilization modes and edge modes.
+// Property sweep: the ETOB spec holds across seeds, process counts and
+// pre-stabilization modes.
 struct EtobSweepParam {
   std::uint64_t seed;
   std::size_t n;
   int mode;
-  int edgeMode;
 };
 
 class EtobSweepTest : public ::testing::TestWithParam<EtobSweepParam> {};
@@ -278,10 +277,8 @@ TEST_P(EtobSweepTest, SpecHolds) {
   auto cfg = etobConfig(param.n, param.seed);
   auto fp = FailurePattern::noFailures(param.n);
   const Time tauOmega = 2500;
-  EtobConfig protoCfg;
-  protoCfg.edgeMode = static_cast<CgEdgeMode>(param.edgeMode);
   auto sim = makeEtobSim(cfg, fp, tauOmega,
-                         static_cast<OmegaPreStabilization>(param.mode), protoCfg);
+                         static_cast<OmegaPreStabilization>(param.mode));
   auto w = defaultWorkload();
   w.perProcess = 4;
   w.causalChainPerOrigin = true;
@@ -300,11 +297,7 @@ std::vector<EtobSweepParam> sweepParams() {
   std::vector<EtobSweepParam> out;
   for (std::uint64_t seed : {1u, 7u, 23u}) {
     for (std::size_t n : {3u, 5u}) {
-      for (int mode : {0, 1, 2}) {
-        for (int edge : {0, 1}) {
-          out.push_back({seed, n, mode, edge});
-        }
-      }
+      for (int mode : {0, 1, 2}) out.push_back({seed, n, mode});
     }
   }
   return out;

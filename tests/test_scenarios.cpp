@@ -237,6 +237,95 @@ TEST(GoldenTraceTest, LegacyLinkDisruptionReproduced) {
   EXPECT_EQ(traceDigest(sim.trace()), kGoldenC);
 }
 
+// --- Catalog digest pins: the exact traces of both eTOB stacks ---------------
+//
+// Every non-large etob and commit-etob catalog entry, seeds 1..3. These
+// are the runs with leader changes, commit rebases, loss and partitions;
+// the seed-determinism suite only checks them run-against-rerun, so a
+// refactor of the Algorithm 5 core or the §7 layer that moves a single
+// delivered sequence, wire weight or schedule shows here. Recorded before
+// commit-eTOB was rebuilt as a layer over EtobAutomaton.
+
+struct CatalogPin {
+  const char* name;
+  std::uint64_t digests[3];  // seeds 1, 2, 3
+};
+
+constexpr CatalogPin kCatalogPins[] = {
+    {"stable-leader",
+     {0xefd8670db3b08dfdULL, 0xfe75cf6d473587caULL, 0xccbad69d00faa71dULL}},
+    {"split-brain-heal",
+     {0x566691416d8687eeULL, 0x5c7d93e554682337ULL, 0xe604d567f3ec0a79ULL}},
+    {"rotating-omega",
+     {0x36e169cd9981957bULL, 0xdf4260471f04fc32ULL, 0x5f04d7540684b67dULL}},
+    {"minority-crash",
+     {0x6e6d8e7dc25fa5b9ULL, 0x46718b3974a5c717ULL, 0xdd707b34d8d2a0e8ULL}},
+    {"majority-crash-etob",
+     {0x4af70924cefac6e3ULL, 0xe8cd9e2f202cf098ULL, 0x44c6c8fa85747b56ULL}},
+    {"staggered-churn",
+     {0xdbd3398fc0352ff0ULL, 0xb3f7ac73a83fe4b1ULL, 0x0884d2dc6fa3b7e8ULL}},
+    {"flaky-majority-link",
+     {0x694b8acc10a187b1ULL, 0x9ce4d194d1f60c83ULL, 0x8a1a74309e632c8eULL}},
+    {"dup-reorder-storm",
+     {0xf3cb688d0b504c18ULL, 0x9eea44e3e6f691b9ULL, 0xc109224e0367f8c7ULL}},
+    {"skewed-clocks",
+     {0x32862bb48f754d49ULL, 0xb2adf8f20d52324eULL, 0x36bccfc67536286bULL}},
+    {"partition-heal-storm",
+     {0x1e874f090768811cULL, 0xe7c8dff77a10352aULL, 0xef29044a9bd222f0ULL}},
+    {"adversarial-blackout",
+     {0xd31b87105c0a3ad8ULL, 0xf64410385355e9a4ULL, 0xc2600d5ef7043116ULL}},
+    {"asymmetric-slow-leader",
+     {0x2f73486f21c73cffULL, 0xf77d03f0d82291bcULL, 0x2323b946ca7de49bULL}},
+    {"commit-stable-majority",
+     {0x3bdd9a9672c41b28ULL, 0x981653baf98947d9ULL, 0xf28230840b716c6cULL}},
+    {"commit-majority-crash",
+     {0x35cb71b0997b140dULL, 0xd801e477bbc590d2ULL, 0x80a7b6e0c158530fULL}},
+    {"skewed-chaos-combo",
+     {0x062bd00f54164f68ULL, 0x8574f552634d6d7fULL, 0x9265b465a2115effULL}},
+    {"lossy-iid-etob",
+     {0xf040b09e114d86a2ULL, 0xdc2f316f96e77b91ULL, 0x1f7d08f76c79f2d0ULL}},
+    {"lossy-burst-etob",
+     {0x71e50d0f5af527eaULL, 0x91ec211282795319ULL, 0x2874595a42f71afbULL}},
+    {"lossy-burst-commit",
+     {0x125dce38e8373aa5ULL, 0xed9b2f7006c01dc6ULL, 0x9427334a293eee55ULL}},
+};
+
+class CatalogPinTest : public ::testing::TestWithParam<CatalogPin> {};
+
+TEST_P(CatalogPinTest, ReproducesPinnedDigests) {
+  const Scenario* s = findScenario(GetParam().name);
+  ASSERT_NE(s, nullptr);
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    EXPECT_EQ(runScenario(*s, seed).digest, GetParam().digests[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EtobStacks, CatalogPinTest,
+                         ::testing::ValuesIn(kCatalogPins),
+                         [](const auto& info) {
+                           std::string n = info.param.name;
+                           for (char& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
+
+TEST(CatalogPinCoverageTest, PinsEveryEtobStackEntry) {
+  // A new etob/commit-etob entry must be pinned too (and a pinned name
+  // must still exist).
+  std::set<std::string> expected;
+  for (const Scenario& s : scenarioCatalog()) {
+    if (isLargeClusterScenario(s)) continue;
+    if (s.stack == AlgoStack::kEtob || s.stack == AlgoStack::kCommitEtob) {
+      expected.insert(s.name);
+    }
+  }
+  std::set<std::string> pinned;
+  for (const CatalogPin& pin : kCatalogPins) pinned.insert(pin.name);
+  EXPECT_EQ(pinned, expected);
+}
+
 #endif  // defined(__GLIBCXX__)
 
 // --- Exactly-once under duplicating models ----------------------------------

@@ -185,6 +185,33 @@ TEST(ShardedKv, QuorumLossRebalancesTheRing) {
   EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
 }
 
+TEST(ShardedKv, ReadReplicaCrashKeepsReadsMonotone) {
+  // Crashing the read replica (replica 0) mid-run moves the router to
+  // replica 1, whose committed prefix can lag what the router already
+  // folded. A lagging prefix is not a rewrite: the fold must be kept,
+  // since refolding the shorter prefix would serve version-regressing
+  // reads.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    ShardedService svc(smallSpec(1), seed);
+    ShardRouter router(svc);
+    UniformKeyGenerator gen(8, splitmix64(seed));
+    for (std::uint64_t i = 0; i < 48; ++i) {
+      if (i == 24) svc.crashReplica(0, 0, svc.now() + 1);
+      svc.advanceBy(10);
+      router.put(gen.next(), i + 1);
+      router.get(gen.next());
+    }
+    svc.advanceBy(2000);
+    for (std::uint64_t key = 0; key < 8; ++key) router.get(key);
+    const ShardedKvReport report = checkShardedKvRun(router.ops());
+    EXPECT_TRUE(report.ok())
+        << "seed " << seed << ": "
+        << (report.errors.empty() ? "" : report.errors[0]);
+    EXPECT_EQ(router.refolds(), 0u) << "seed " << seed;
+    EXPECT_GT(report.committedPuts, 0u) << "seed " << seed;
+  }
+}
+
 TEST(ShardedKv, RebalanceMutationKeepsDeadShardWithoutTheKnob) {
   // Mutation: with rebalanceOnQuorumLoss off, the same crash schedule
   // re-homes nothing — keys keep routing to the dead shard. This is
