@@ -83,14 +83,15 @@ std::unique_ptr<Automaton> makeStackAutomaton(const ClusterSpec& spec,
   switch (spec.stack) {
     case AlgoStack::kEtob:
       if (spec.kvReplica) {
-        return std::make_unique<EtobKvReplica>(EtobAutomaton{});
+        return std::make_unique<EtobKvReplica>(EtobAutomaton(spec.etob));
       }
-      return std::make_unique<EtobAutomaton>();
+      return std::make_unique<EtobAutomaton>(spec.etob);
     case AlgoStack::kCommitEtob:
       if (spec.kvReplica) {
-        return std::make_unique<CommitEtobKvReplica>(CommitEtobAutomaton{});
+        return std::make_unique<CommitEtobKvReplica>(
+            CommitEtobAutomaton(spec.etob));
       }
-      return std::make_unique<CommitEtobAutomaton>();
+      return std::make_unique<CommitEtobAutomaton>(spec.etob);
     case AlgoStack::kTobViaConsensus:
       if (spec.kvReplica) {
         return std::make_unique<TobKvReplica>(

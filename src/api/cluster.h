@@ -52,6 +52,7 @@
 #include "checkers/broadcast_log.h"
 #include "checkers/workload.h"
 #include "common/types.h"
+#include "etob/etob_automaton.h"
 #include "fd/detectors.h"
 #include "sim/failure_pattern.h"
 #include "sim/network_model.h"
@@ -98,6 +99,13 @@ struct ClusterSpec {
 
   /// kOmegaEc: number of EC instances each process proposes.
   Instance ecInstances = 0;
+
+  /// kEtob / kCommitEtob: the ordering automaton's configuration, plain
+  /// or kvReplica-wrapped (ignored by the other stacks). The default is
+  /// the paper-literal path — every broadcast ships update(CG_i) — which
+  /// the scenario catalog and the fuzz plans run; ShardedService serves
+  /// with deltaUpdates on.
+  EtobConfig etob;
 
   /// Wrap the ordering stack in a replicated KvStore (ReplicaAutomaton):
   /// clients gain put()/kvGet() on top of the broadcast surface. Only

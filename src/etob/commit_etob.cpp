@@ -1,5 +1,7 @@
 #include "etob/commit_etob.h"
 
+#include <algorithm>
+
 #include "common/ensure.h"
 
 namespace wfd {
@@ -7,9 +9,10 @@ namespace {
 
 /// Total strength order on commit sequences: longer beats shorter, equal
 /// lengths tie-break to the lexicographically smaller id sequence. Every
-/// process applies the same rule to every commit it learns, and commits
-/// only ever travel by broadcast over reliable links, so all correct
-/// processes converge on the same strongest commit — which is what keeps
+/// process applies the same rule to every commit it learns, and a commit
+/// reaches every correct process (by the committer's broadcast, or handed
+/// back to a leader that missed it), so all correct processes converge
+/// on the same strongest commit — which is what keeps
 /// eTOB's eventual agreement alive even in runs outside the §7 proviso
 /// where two pre-stabilization leaders managed to commit conflicting
 /// prefixes (a schedule wfd_explore finds readily; the previous behaviour
@@ -19,6 +22,20 @@ bool strongerCommit(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
   return a < b;
 }
 
+bool sameIds(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids) {
+  return std::equal(prefix.begin(), prefix.end(), ids.begin(), ids.end(),
+                    [](const AppMsg& m, MsgId id) { return m.id == id; });
+}
+
+/// Consecutive refused promotes before a follower hands its commit back
+/// to the trusted leader. An ordinary refusal is a promote the leader
+/// sent before its own copy of the commit arrived; on reliable links a
+/// run of those ends within a few delays (the longest seen across the
+/// scenario catalog and the seed-1/7 fuzz streams is 36). Only a commit
+/// lost for good keeps the run going, so the hand-back costs nothing on
+/// reliable links and at most this many λ-steps of delay under loss.
+constexpr std::uint64_t kRefusalsBeforeHandBack = 64;
+
 }  // namespace
 
 void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
@@ -27,9 +44,24 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
     // Commit guard: never adopt a sequence that contradicts what this
     // process already knows to be committed. Acknowledge every adoption
     // to the leader.
-    const std::uint64_t epoch =
+    //
+    // A trusted leader that keeps promoting past this process's commit
+    // has not learned it: the committer crashed before every copy of its
+    // commit broadcast got through (a lossy link drops them and
+    // retransmission dies with the sender). Without help the guard
+    // refuses that leader forever, so after a run of refusals hand the
+    // commit back — the leader rebases onto it and its next promote is
+    // adoptable here. Repeating every run keeps the hand-back stubborn
+    // under loss.
+    const EtobAutomaton::PromoteAdoption adopted =
         core_.adoptPromote(ctx, from, *promote, committed_, fx);
-    if (epoch != 0) fx.send(from, Payload::of(EtobAckMsg{epoch}));
+    if (adopted.epoch != 0) {
+      fx.send(from, Payload::of(EtobAckMsg{adopted.epoch}));
+      refusals_ = 0;
+    } else if (adopted.belowFloor && ++refusals_ == kRefusalsBeforeHandBack) {
+      refusals_ = 0;
+      sendCommit(from, /*handBack=*/true, fx);
+    }
     return;
   }
   if (const auto* ack = msg.as<EtobAckMsg>()) {
@@ -38,6 +70,13 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
   }
   if (const auto* commit = msg.as<EtobCommitMsg>()) {
     adoptCommit(commit->prefix, fx);
+    // A hand-back this process does not now hold is weaker than its own
+    // commit (a prefix of it, or the losing side of a conflict). Answer
+    // with the stronger one, or the sender keeps refusing every promote
+    // built on it.
+    if (commit->handBack && !sameIds(commit->prefix, committed_)) {
+      sendCommit(from, /*handBack=*/false, fx);
+    }
     return;
   }
   core_.onMessage(ctx, from, msg, fx);
@@ -82,21 +121,26 @@ void CommitEtobAutomaton::onAck(const StepContext& ctx, ProcessId from,
   // still stands behind.
   if (!isPrefix(candidate, core_.promoteSequence())) return;
   committed_ = candidate;
-  std::vector<AppMsg> content;
-  content.reserve(committed_.size());
-  std::size_t weight = 2;
-  for (MsgId id : committed_) {
-    const AppMsg* m = core_.findMessage(id);
-    WFD_ENSURE_MSG(m != nullptr, "leader promoted a message it cannot name");
-    content.push_back(*m);
-    weight += 2 + m->body.size();
-  }
-  fx.broadcast(Payload::of(EtobCommitMsg{std::move(content)}), weight);
+  sendCommit(kBroadcast, /*handBack=*/false, fx);
   // The indication must describe this process's own delivery sequence;
   // the leader's loopback promote may still be in flight, so align d_i
   // with the committed prefix before indicating.
   if (!isPrefix(committed_, core_.delivered())) core_.deliver(committed_, fx);
   fx.output(Payload::of(CommittedPrefix{committed_.size()}));
+}
+
+void CommitEtobAutomaton::sendCommit(ProcessId to, bool handBack,
+                                     Effects& fx) const {
+  std::vector<AppMsg> content;
+  content.reserve(committed_.size());
+  std::size_t weight = 2;
+  for (MsgId id : committed_) {
+    const AppMsg* m = core_.findMessage(id);
+    WFD_ENSURE_MSG(m != nullptr, "committed a message this process cannot name");
+    content.push_back(*m);
+    weight += 2 + m->body.size();
+  }
+  fx.send(to, Payload::of(EtobCommitMsg{std::move(content), handBack}), weight);
 }
 
 void CommitEtobAutomaton::adoptCommit(const std::vector<AppMsg>& prefix,

@@ -19,6 +19,9 @@
 //  * every process refuses to adopt a promote that contradicts its local
 //    committed prefix, and every leader rebuilds its promote sequence to
 //    extend any newly learned committed prefix;
+//  * a follower that keeps refusing its leader hands the commit back to
+//    it (the committer may have crashed before its broadcast reached
+//    everyone, which lossy links allow);
 //  * CONFLICTING commits (reachable only outside the §7 proviso, when two
 //    pre-stabilization leaders each gather a majority of stale
 //    acknowledgments) resolve by a deterministic strength join — longer
@@ -65,6 +68,10 @@ struct EtobCommitMsg {
   /// The committed sequence, content included (receivers may not have
   /// seen some update messages yet).
   std::vector<AppMsg> prefix;
+  /// Sent by a follower whose commit guard keeps refusing the receiver's
+  /// promotes (see CommitEtobAutomaton::onMessage). A receiver holding a
+  /// different, stronger commit answers with its own.
+  bool handBack = false;
 };
 
 /// The §7 layer: owns an EtobAutomaton (the one Algorithm 5 core) and
@@ -92,12 +99,17 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
   void onAck(const StepContext& ctx, ProcessId from, std::uint64_t epoch,
              Effects& fx);
   void adoptCommit(const std::vector<AppMsg>& prefix, Effects& fx);
+  /// Sends committed_, content included, to `to` (kBroadcast = all).
+  void sendCommit(ProcessId to, bool handBack, Effects& fx) const;
 
   EtobAutomaton core_;
   std::vector<MsgId> committed_;
   std::map<std::uint64_t, std::vector<MsgId>> epochSeq_;  // my promoted seqs
   std::map<std::uint64_t, std::set<ProcessId>> acks_;
   std::uint64_t commitConflicts_ = 0;
+  /// Promotes refused by the commit guard since the last adoption or
+  /// hand-back.
+  std::uint64_t refusals_ = 0;
 };
 
 }  // namespace wfd

@@ -90,21 +90,20 @@ const AppMsg* EtobAutomaton::findMessage(MsgId id) const {
   return it == adoptedBodies_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t EtobAutomaton::adoptPromote(const StepContext& ctx, ProcessId from,
-                                          const EtobPromoteMsg& msg,
-                                          const std::vector<MsgId>& floor,
-                                          Effects& fx) {
+EtobAutomaton::PromoteAdoption EtobAutomaton::adoptPromote(
+    const StepContext& ctx, ProcessId from, const EtobPromoteMsg& msg,
+    const std::vector<MsgId>& floor, Effects& fx) {
   PromoteChain& chain = chains_[from];
   advanceChain(chain, msg);
   // Adopt the reconstructed sequence only if it comes from the process
   // this module's Omega currently trusts, and only in send order (stale
   // reordered promotes from the same sender are discarded: the chain
   // head only ever moves forward).
-  if (ctx.fd.leader != from || chain.epoch <= adoptedEpoch_[from]) return 0;
-  if (!isPrefix(floor, chain.ids)) return 0;
+  if (ctx.fd.leader != from || chain.epoch <= adoptedEpoch_[from]) return {};
+  if (!isPrefix(floor, chain.ids)) return {0, true};
   adoptedEpoch_[from] = chain.epoch;
   deliver(chain.ids, fx);
-  return chain.epoch;
+  return {chain.epoch, false};
 }
 
 void EtobAutomaton::rebase(const std::vector<AppMsg>& prefix,

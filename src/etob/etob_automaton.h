@@ -123,14 +123,20 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
 
   // -- Layer hooks (the §7 commit extension) -------------------------------
 
+  /// Outcome of adoptPromote.
+  struct PromoteAdoption {
+    /// The adopted epoch, or 0 if nothing was adopted.
+    std::uint64_t epoch = 0;
+    /// The trusted leader's newest sequence does not extend `floor`.
+    bool belowFloor = false;
+  };
   /// Ingests a promote from `from` and adopts the reconstructed sequence
   /// as d_i iff `from` is the trusted leader, the epoch is newer than the
   /// last one adopted from it, and the sequence extends `floor` (the §7
-  /// commit guard; plain eTOB passes an empty floor). Returns the adopted
-  /// epoch, or 0 if nothing was adopted.
-  std::uint64_t adoptPromote(const StepContext& ctx, ProcessId from,
-                             const EtobPromoteMsg& msg,
-                             const std::vector<MsgId>& floor, Effects& fx);
+  /// commit guard; plain eTOB passes an empty floor).
+  PromoteAdoption adoptPromote(const StepContext& ctx, ProcessId from,
+                               const EtobPromoteMsg& msg,
+                               const std::vector<MsgId>& floor, Effects& fx);
   /// Learns the content of `prefix` (whose ids are `ids`) and rebases
   /// promote_i onto it. The sequence is no longer an extension of what was
   /// last sent, so the next promote is a full snapshot.

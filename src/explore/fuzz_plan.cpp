@@ -42,6 +42,30 @@ std::size_t stackIndex(AlgoStack stack) {
   return static_cast<std::size_t>(stack);
 }
 
+/// True iff a process that crashes has broadcast a message some later
+/// origin declares as a cross-process dependency (crossDeps: message i of
+/// p + 1 depends on message i of p). scheduleBroadcastWorkload staggers
+/// origins by maxDelay + timeoutPeriod so the dependency's update has
+/// arrived by the dependent's broadcast time, which only holds on
+/// lossless links. On a lossy one every copy of that update can be
+/// dropped before its origin crashes: C(m) then names a message outside
+/// the sender's past, which the paper's C(m) rules out, and the dependent
+/// message stays blocked behind a placeholder at every correct process.
+/// Requires the plan's bounds to hold (stagger arithmetic).
+bool crashedCrossDepOrigin(const FuzzPlan& plan) {
+  if (!plan.workload.crossDeps) return false;
+  const std::size_t n = plan.processCount;
+  const std::size_t origins =
+      plan.workload.writers == 0 ? n : std::min(plan.workload.writers, n);
+  const Time stagger = plan.maxDelay + plan.timeoutPeriod;
+  for (const PlanCrash& c : plan.crashes) {
+    if (c.process >= n || c.process + 1 >= origins) continue;  // no dependent
+    // The origin's first broadcast slot; crashing by then sends nothing.
+    if (c.time > plan.workload.start + stagger * c.process) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::uint64_t derivePlanSeed(std::uint64_t masterSeed, AlgoStack stack,
@@ -198,7 +222,11 @@ FuzzPlan sampleFuzzPlan(AlgoStack stack, std::uint64_t masterSeed,
   // byte-for-byte (pinned by test_explore and the CI byte-identity
   // diff), and with it on, the loss-free prefix of each plan is the
   // same plan the legacy sampler would have produced.
-  if (lossGenome && rng.chance(1, 3)) {
+  //
+  // A plan whose cross-process dependencies need lossless links (see
+  // crashedCrossDepOrigin) draws no loss layer, which also keeps the
+  // prefix property: it is then exactly the legacy plan.
+  if (lossGenome && !crashedCrossDepOrigin(plan) && rng.chance(1, 3)) {
     plan.loss.lossNum = 1;
     plan.loss.lossDen = static_cast<std::uint32_t>(rng.between(5, 16));
     if (rng.chance(1, 2)) {
@@ -461,6 +489,10 @@ std::vector<std::string> planAdmissibilityViolations(const FuzzPlan& plan) {
   // arithmetic is overflow-free exactly under those bounds.
   if (out.empty() && plan.maxTime < planHorizon(plan)) {
     bad("maxTime below planHorizon: liveness clauses would be unfair");
+  }
+  if (out.empty() && plan.loss.enabled() && crashedCrossDepOrigin(plan)) {
+    bad("cross-process dependencies on a crashing origin need lossless "
+        "links (C(m) must lie in the sender's past)");
   }
   return out;
 }

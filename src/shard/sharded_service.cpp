@@ -32,6 +32,11 @@ ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
     cs.tauOmega = spec_.tauOmega;
     cs.omegaMode = spec_.omegaMode;
     cs.kvReplica = true;
+    // The serving path gossips per-message deltas instead of the whole
+    // causality graph: the same delivered sequences and commit
+    // indications at O(Δ) wire weight per broadcast (ShardedServingPath
+    // in tests/test_sharded_kv.cpp replays every shard both ways).
+    cs.etob.deltaUpdates = true;
     // kvReplica clusters take writes through Client::put only — the
     // default scheduled broadcast workload is rejected there.
     cs.workload.perProcess = 0;

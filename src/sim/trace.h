@@ -59,7 +59,10 @@ class Trace {
   void recordOutput(ProcessId p, Time t, Payload value);
   /// Returns true iff the sequence actually changed (an unchanged d_i is
   /// not re-recorded; observers key off the same notion of "change").
-  bool recordDelivered(ProcessId p, Time t, std::vector<MsgId> seq);
+  /// A pure extension of a duplicate-free d_i costs O(Δ) hash work in the
+  /// appended suffix (plus one flat prefix compare); any other change
+  /// re-indexes both sequences.
+  bool recordDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq);
   /// Records one sent message of the given abstract weight (words).
   void countSend(std::uint64_t weight) {
     ++messagesSent_;
@@ -102,6 +105,11 @@ class Trace {
   std::uint64_t stepsTaken(ProcessId p) const { return stepsTaken_.at(p); }
 
  private:
+  /// The general path: a rewrite, removal or reorder of d_i (or an
+  /// extension of a d_i that holds a duplicate, where every later copy
+  /// counts as moved). Updates perMsg_/repeats_ and sets current_[p].
+  void reindexDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq);
+
   bool keepSnapshots_;
   std::vector<std::vector<OutputEvent>> outputs_;
   std::vector<std::vector<DeliverySnapshot>> snapshots_;
@@ -113,6 +121,10 @@ class Trace {
   std::vector<std::uint64_t> stepsTaken_;
   /// Per-process monotone record counter stamped on outputs + snapshots.
   std::vector<std::uint64_t> recordOrder_;
+  /// Per-process count of positions in current_ that repeat an earlier
+  /// id (0 unless a run breaks no-duplication). The extension fast path
+  /// needs 0: a repeated old id counts as moved on every change.
+  std::vector<std::size_t> repeats_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesDelivered_ = 0;
   std::uint64_t weightSent_ = 0;

@@ -2,7 +2,8 @@
 // space, seed-stable (byte-identical) exploration, the delta-debugging
 // shrinker's contract, RandomScheduleModel composition, and the
 // FailurePattern edge cases the sampler must survive (crash at time 0,
-// all-but-one crashed, crash exactly at a partition boundary).
+// all-but-one crashed, crash exactly at a partition boundary), and the
+// shrunk loss-genome findings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "etob/commit_etob.h"
+#include "etob/etob_automaton.h"
 #include "explore/explorer.h"
 #include "explore/fuzz_plan.h"
 #include "explore/random_schedule_model.h"
@@ -404,6 +407,137 @@ TEST(ExploreEdgeCaseTest, FailureKeysStripDetailSuffixes) {
   const std::vector<std::string> keys = failureKeys(r);
   EXPECT_EQ(keys,
             (std::vector<std::string>{"broadcast: strong-tob", "ec: agreement"}));
+}
+
+// --- Loss-genome regressions ------------------------------------------------
+//
+// Shrunk plans from `wfd_explore --campaign --runs 600 --seed 12
+// --loss-genome` (the --stack etob and --stack commit-etob campaigns).
+
+// 5 processes, one message each; message i of p depends on message i of
+// p - 1. p3's update is lost on every link before p3 crashes at 442.
+FuzzPlan lossyCrossDepPlan() {
+  FuzzPlan plan;
+  plan.stack = AlgoStack::kEtob;
+  plan.processCount = 5;
+  plan.simSeed = 5918501652669591121ULL;
+  plan.timeoutPeriod = 15;
+  plan.minDelay = 27;
+  plan.maxDelay = 45;
+  plan.tauOmega = 1;
+  plan.omegaMode = OmegaPreStabilization::kRotating;
+  plan.crashes = {PlanCrash{3, 442}};
+  plan.loss.lossNum = 1;
+  plan.loss.lossDen = 13;
+  plan.loss.burstPeriod = 2772;
+  plan.loss.burstLen = 282;
+  plan.loss.activeUntil = 719;
+  plan.workload.start = 91;
+  plan.workload.interval = 74;
+  plan.workload.perProcess = 1;
+  plan.workload.causalChain = true;
+  plan.workload.crossDeps = true;
+  plan.maxTime = planHorizon(plan);
+  return plan;
+}
+
+TEST(LossGenomeRegressionTest, CrossDepOnALostUpdateIsInadmissible) {
+  const FuzzPlan plan = lossyCrossDepPlan();
+  const std::vector<std::string> violations = planAdmissibilityViolations(plan);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("cross-process dependencies"), std::string::npos)
+      << violations[0];
+
+  // The cause: p4 declared p3's message in C(m) without ever receiving
+  // it, so it stays a placeholder at every correct process and blocks
+  // p4's message forever — outside the paper's C(m), not an eTOB bug.
+  ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
+  inst.sim->run();
+  const MsgId dep = makeMsgId(3, 0);
+  for (ProcessId p : inst.sim->failurePattern().correctSet()) {
+    const CausalityGraph& cg =
+        dynamic_cast<const EtobAutomaton&>(inst.sim->automaton(p)).causalityGraph();
+    const std::vector<MsgId>& ids = cg.ids();
+    EXPECT_NE(std::find(ids.begin(), ids.end(), dep), ids.end()) << "p" << p;
+    EXPECT_FALSE(cg.contains(dep)) << "p" << p;
+  }
+  EXPECT_FALSE(runFuzzPlan(plan, FuzzOracle::kSpec).pass);
+
+  // Lossless links, or a dependency origin that stays correct, make the
+  // same workload admissible, and it passes.
+  FuzzPlan lossless = plan;
+  lossless.loss = PlanLoss{};
+  FuzzPlan noCrash = plan;
+  noCrash.crashes.clear();
+  for (FuzzPlan* p : {&lossless, &noCrash}) {
+    p->maxTime = planHorizon(*p);
+    ASSERT_TRUE(planAdmissibilityViolations(*p).empty());
+    const ScenarioRunResult r = runFuzzPlan(*p, FuzzOracle::kSpec);
+    EXPECT_TRUE(r.pass) << (r.failures.empty() ? "?" : r.failures.front());
+  }
+}
+
+TEST(LossGenomeRegressionTest, SamplerDrawsNoLossUnderCrashedCrossDeps) {
+  for (AlgoStack stack : {AlgoStack::kEtob, AlgoStack::kCommitEtob}) {
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      const FuzzPlan p = sampleFuzzPlan(stack, 12, i, 0, true);
+      EXPECT_TRUE(planAdmissibilityViolations(p).empty()) << i;
+    }
+  }
+}
+
+// 6 processes, three crash; the committers' EtobCommitMsg copies to some
+// correct processes are all lost. Without the hand-back, a follower
+// holding the commit refuses the new leader's promotes forever.
+FuzzPlan lostCommitPlan(Time p0Crash) {
+  FuzzPlan plan;
+  plan.stack = AlgoStack::kCommitEtob;
+  plan.processCount = 6;
+  plan.simSeed = 2811014437239358886ULL;
+  plan.timeoutPeriod = 9;
+  plan.minDelay = 19;
+  plan.maxDelay = 52;
+  plan.tauOmega = 515;
+  plan.omegaMode = OmegaPreStabilization::kRotating;
+  plan.crashes = {PlanCrash{0, p0Crash}, PlanCrash{1, 264}, PlanCrash{4, 734}};
+  plan.loss.lossNum = 1;
+  plan.loss.lossDen = 15;
+  plan.loss.burstPeriod = 2542;
+  plan.loss.burstLen = 828;
+  plan.loss.activeUntil = 727;
+  plan.workload.start = 204;
+  plan.workload.interval = 27;
+  plan.workload.perProcess = 3;
+  plan.maxTime = planHorizon(plan);
+  return plan;
+}
+
+TEST(LossGenomeRegressionTest, LostCommitIsHandedBackToTheLeader) {
+  // p0@232: one commit, which two correct processes never receive.
+  // p0@465: two conflicting commits; a correct process holds only the
+  // weaker one and must be answered with the stronger.
+  for (Time p0Crash : {Time{232}, Time{465}}) {
+    const FuzzPlan plan = lostCommitPlan(p0Crash);
+    ASSERT_TRUE(planAdmissibilityViolations(plan).empty());
+    ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
+    inst.sim->run();
+    const ScenarioRunResult r =
+        evaluateScenarioRun(planScenario(plan), plan.simSeed, *inst.cluster);
+    EXPECT_TRUE(r.pass) << "p0@" << p0Crash << ": "
+                        << (r.failures.empty() ? "?" : r.failures.front());
+    // The converged d_i extends every committed prefix a correct process
+    // holds (a process that never received a commit holds none).
+    const std::vector<ProcessId> correct = inst.sim->failurePattern().correctSet();
+    const std::vector<MsgId>& d = inst.sim->trace().currentDelivered(correct.front());
+    bool anyCommitted = false;
+    for (ProcessId p : correct) {
+      const std::vector<MsgId>& c = dynamic_cast<const CommitEtobAutomaton&>(
+                                        inst.sim->automaton(p)).committedPrefix();
+      anyCommitted |= !c.empty();
+      EXPECT_TRUE(isPrefix(c, d)) << "p0@" << p0Crash << " p" << p;
+    }
+    EXPECT_TRUE(anyCommitted) << "p0@" << p0Crash;
+  }
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
 // Integration, regression and mutation tests for the sharded KV
 // service: pinned digests for every sharded-* catalog entry, the
+// delta-gossip serving path against the paper-literal full-CG path, the
 // cross-shard-independence byte-identity property, the crash-rebalance
 // path (and the mutation proving it matters), service-level stats
 // aggregation, and adversarial op logs against the sharded_kv checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/hash.h"
+#include "etob/commit_etob.h"
 #include "scenario/scenario.h"
 #include "scenario/trace_digest.h"
 #include "shard/shard_router.h"
@@ -24,19 +28,22 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-// Generated at the introduction of the sharded subsystem (PR 10);
-// indexed [catalog entry, registration order][seed in kSeeds]. Same
+// Indexed [catalog entry, registration order][seed in kSeeds]. Same
 // caveat as every pin: portable per standard library (the schedules
 // draw from std::uniform_int_distribution, the Zipfian CDF from libm).
 // A change here is a behavior change in the router, the fold, a shard
-// schedule, or the checker's version accounting — not a refactor.
+// schedule, the checker's version accounting or the shards' wire
+// weight — not a refactor. Last re-recorded when the serving shards
+// switched to delta updates; the ShardedServingPath tests below are the
+// evidence that only wire weight moved (plus, in sharded-zipf-hotkey
+// seed 3, one d_i change 3 ticks earlier before τ_Ω under full CG).
 constexpr std::uint64_t kPinnedDigests[3][3] = {
     // sharded-uniform-commit
-    {0xc695d8e2ba4b2c19ULL, 0xa1d4a9d1e2797418ULL, 0xa0a69bd7f50685ccULL},
+    {0xe8f79099792c18e3ULL, 0x5f8cb46898f2bc55ULL, 0x67dffd040c4c1549ULL},
     // sharded-zipf-hotkey
-    {0x732558c62fd5ba76ULL, 0x54bcac4c27ea7e75ULL, 0xe4b55a1ceb6a4ceaULL},
+    {0x990ae9275e4ff939ULL, 0x860fe9571dd8b27eULL, 0xdcf946becc2e685bULL},
     // sharded-rebalance-crash
-    {0x6704b81ca40c470dULL, 0x43683a6dd31b6cfdULL, 0xfb907e959410b4caULL},
+    {0x02e85caf9d34c621ULL, 0xde28b09d647bf21cULL, 0x03ec3ad04ba15822ULL},
 };
 
 TEST(ShardedScenarios, CatalogEntriesPassAndMatchPinnedDigests) {
@@ -78,6 +85,198 @@ TEST(ShardedScenarios, NamesAreUniqueAcrossBothCatalogs) {
     EXPECT_EQ(findShardScenario(s.name), &s);
   }
   EXPECT_EQ(findShardScenario("no-such-scenario"), nullptr);
+}
+
+// --- Serving path: delta gossip vs the paper-literal full CG ---------------
+
+// One call the service made on a shard's cluster, at shard time `at`.
+struct ShardCall {
+  Time at = 0;
+  bool put = false;
+  ShardFault::Kind fault = ShardFault::Kind::kCrash;  // when !put
+  ProcessId replica = 0;
+  std::uint64_t key = 0;
+  std::uint64_t value = 0;
+  Time until = 0;  // kIsolate
+};
+
+struct ServingRun {
+  std::vector<std::vector<ShardCall>> calls;  // per shard
+  std::vector<ClusterSpec> specs;
+  std::vector<std::uint64_t> seeds;
+  std::vector<std::uint64_t> weightSent;
+  Time end = 0;
+  std::uint64_t committed = 0;  // committed prefix length, summed over shards
+};
+
+// Drives a deployment's write path the way runShardScenario does — puts
+// on the workload cadence to the ring owner's read replica, faults as
+// their times pass — and records what each shard's cluster was asked to
+// do. Reads are left out: they never touch a shard's simulation.
+ServingRun driveServingPath(const ShardedSpec& spec, const ShardWorkload& w,
+                            std::vector<ShardFault> faults, std::uint64_t seed) {
+  ShardedService svc(spec, seed);
+  ServingRun run;
+  run.calls.resize(svc.shardCount());
+  UniformKeyGenerator uniform(w.keys, splitmix64(seed ^ 0x776b6c64ULL));
+  ZipfianKeyGenerator zipf(w.keys, w.zipfian ? w.theta : 0.5,
+                           splitmix64(seed ^ 0x776b6c64ULL));
+  std::stable_sort(faults.begin(), faults.end(),
+                   [](const ShardFault& a, const ShardFault& b) { return a.at < b.at; });
+  std::size_t nextFault = 0;
+  const auto injectThrough = [&](Time target) {
+    while (nextFault < faults.size() && faults[nextFault].at <= target) {
+      const ShardFault& f = faults[nextFault++];
+      if (f.at > svc.now()) svc.advanceTo(f.at);
+      ShardCall call;
+      call.at = svc.now();
+      call.fault = f.kind;
+      call.replica = f.replica;
+      call.until = f.until;
+      run.calls[f.shard].push_back(call);
+      if (f.kind == ShardFault::Kind::kCrash) {
+        svc.crashReplica(f.shard, f.replica, svc.now());
+      } else {
+        svc.isolateReplica(f.shard, f.replica, svc.now(), f.until);
+      }
+    }
+  };
+  for (std::uint64_t i = 0; i < w.puts; ++i) {
+    const Time target = svc.now() + w.interval;
+    injectThrough(target);
+    if (svc.now() < target) svc.advanceTo(target);
+    const std::uint64_t key = w.zipfian ? zipf.next() : uniform.next();
+    const std::size_t s = svc.ownerOf(key);
+    ShardCall call;
+    call.at = svc.now();
+    call.put = true;
+    call.replica = svc.readReplicaOf(s);
+    call.key = key;
+    call.value = i + 1;
+    svc.shard(s).client(call.replica).put(key, call.value);
+    run.calls[s].push_back(call);
+  }
+  injectThrough(spec.config.maxTime);
+  run.end = svc.runUntilQuiescent();
+  for (std::size_t s = 0; s < svc.shardCount(); ++s) {
+    run.specs.push_back(svc.shard(s).spec());
+    run.seeds.push_back(svc.shard(s).seed());
+    run.weightSent.push_back(svc.shard(s).sim().trace().weightSent());
+  }
+  run.committed = svc.stats().committedLen;
+  return run;
+}
+
+// What a shard's clients and checkers can observe: every d_i change and
+// every §7 commit indication, in order.
+struct ShardStreams {
+  std::vector<std::tuple<ProcessId, Time, std::vector<MsgId>>> deliveries;
+  std::vector<std::tuple<ProcessId, Time, std::uint64_t>> commits;
+  std::uint64_t weightSent = 0;
+};
+
+ShardStreams replayShard(ClusterSpec spec, std::uint64_t seed,
+                         const std::vector<ShardCall>& calls, Time end) {
+  Cluster c(std::move(spec), seed);
+  ShardStreams out;
+  c.observeDeliveries([&out](ProcessId p, Time t, const std::vector<MsgId>& seq) {
+    out.deliveries.emplace_back(p, t, seq);
+  });
+  c.observeOutputs([&out](ProcessId p, Time t, const Payload& o) {
+    if (const auto* cp = o.as<CommittedPrefix>()) out.commits.emplace_back(p, t, cp->length);
+  });
+  for (const ShardCall& call : calls) {
+    c.advanceTo(call.at);
+    if (call.put) {
+      c.client(call.replica).put(call.key, call.value);
+    } else if (call.fault == ShardFault::Kind::kCrash) {
+      c.crashAt(call.replica, call.at);
+    } else {
+      c.isolate(call.replica, call.at, call.until);
+    }
+  }
+  c.advanceTo(end);
+  out.weightSent = c.sim().trace().weightSent();
+  return out;
+}
+
+// Delta gossip changes no delivered sequence and no commit indication.
+// The one thing it may move is WHEN a d_i change happens before τ_Ω: a
+// process that trusts itself promotes from its own CG, and full-CG gossip
+// can hand it a message inside a peer's CG_j before the message's own
+// delta arrives. So the commit stream and every d_i change from τ_Ω on
+// must match exactly, and before τ_Ω the values each process delivers,
+// in order.
+void expectSameObservations(const ShardStreams& delta, const ShardStreams& full,
+                            Time tauOmega, const std::string& what) {
+  EXPECT_EQ(delta.commits, full.commits) << what;
+  EXPECT_FALSE(delta.deliveries.empty()) << what;
+  ASSERT_EQ(delta.deliveries.size(), full.deliveries.size()) << what;
+  for (std::size_t k = 0; k < delta.deliveries.size(); ++k) {
+    const auto& [dp, dt, dseq] = delta.deliveries[k];
+    const auto& [fp, ft, fseq] = full.deliveries[k];
+    EXPECT_EQ(dp, fp) << what << " change " << k;
+    EXPECT_EQ(dseq, fseq) << what << " change " << k;
+    if (std::max(dt, ft) >= tauOmega) {
+      EXPECT_EQ(dt, ft) << what << " change " << k;
+    }
+  }
+}
+
+// Replays every shard of `run` twice from the same ClusterSpec — once as
+// the service built it (delta updates), once with the paper-literal
+// EtobConfig{} — and requires the same observable streams at strictly
+// less wire weight. Returns the delta side's total weight.
+std::uint64_t expectDeltaMatchesFullCg(const ServingRun& run, const std::string& what) {
+  std::uint64_t deltaWeight = 0;
+  for (std::size_t s = 0; s < run.specs.size(); ++s) {
+    const ClusterSpec& delta = run.specs[s];
+    EXPECT_TRUE(delta.etob.deltaUpdates) << what << " shard " << s;
+    ClusterSpec full = delta;
+    full.etob = EtobConfig{};
+    const ShardStreams d = replayShard(delta, run.seeds[s], run.calls[s], run.end);
+    const ShardStreams f = replayShard(full, run.seeds[s], run.calls[s], run.end);
+    // The replay is the service's own shard run, call for call.
+    EXPECT_EQ(d.weightSent, run.weightSent[s]) << what << " shard " << s;
+    expectSameObservations(d, f, delta.tauOmega, what + " shard " + std::to_string(s));
+    if (!run.calls[s].empty()) {
+      EXPECT_LT(d.weightSent, f.weightSent) << what << " shard " << s;
+    }
+    deltaWeight += d.weightSent;
+  }
+  return deltaWeight;
+}
+
+TEST(ShardedServingPath, DeltaShardsMatchFullCgOnTheCatalog) {
+  for (const ShardScenario& sc : shardScenarioCatalog()) {
+    for (std::uint64_t seed : kSeeds) {
+      const ServingRun run = driveServingPath(sc.spec, sc.workload, sc.faults, seed);
+      expectDeltaMatchesFullCg(run, sc.name + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(ShardedServingPath, LongSingleShardRunMatchesAndStaysLight) {
+  ShardedSpec spec;
+  spec.shards = 1;
+  spec.replicasPerShard = 3;
+  spec.stack = AlgoStack::kCommitEtob;
+  spec.config.maxTime = 200'000;
+  spec.config.timeoutPeriod = 10;
+  spec.config.minDelay = 20;
+  spec.config.maxDelay = 40;
+  spec.omegaMode = OmegaPreStabilization::kStable;
+  ShardWorkload w;
+  w.puts = 512;
+  w.keys = 256;
+  w.interval = 10;
+  const ServingRun run = driveServingPath(spec, w, {}, 1);
+  ASSERT_EQ(run.committed, w.puts);
+  const std::uint64_t weight = expectDeltaMatchesFullCg(run, "1 shard x 512 puts");
+  // Deterministic wire budget per committed put. The serving path costs
+  // 2473 words per put here and full-CG gossip 7839, so a service that
+  // silently went back to shipping CG_i fails this.
+  EXPECT_LE(weight / run.committed, 3000u);
 }
 
 // --- Cross-shard independence ----------------------------------------------

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
+#include "common/rng.h"
 #include "fd/detectors.h"
 #include "helpers.h"
 #include "sim/composite.h"
@@ -175,6 +178,145 @@ TEST(TraceTest, StatsTrackRemovalAndReappearance) {
   s = t.deliveryStats(0, 10);
   EXPECT_TRUE(s->presentNow);
   EXPECT_EQ(s->lastChange, 7u);
+}
+
+// The recorder before its extension fast path: every change re-indexes
+// the old and the new d_i. The differential test below holds Trace to it.
+class ReindexingRecorder {
+ public:
+  explicit ReindexingRecorder(bool keepSnapshots) : keepSnapshots_(keepSnapshots) {}
+
+  bool record(Time t, const std::vector<MsgId>& seq) {
+    if (seq == current_) return false;
+    if (!isPrefix(current_, seq)) {
+      ++prefixViolations_;
+      lastViolationAt_ = t;
+    }
+    lastChangeAt_ = t;
+    std::unordered_map<MsgId, std::size_t> newIndex;
+    for (std::size_t i = 0; i < seq.size(); ++i) newIndex.emplace(seq[i], i);
+    for (MsgId m : current_) {
+      if (!newIndex.contains(m)) {
+        stats_.at(m).presentNow = false;
+        stats_.at(m).lastChange = t;
+      }
+    }
+    std::unordered_map<MsgId, std::size_t> oldIndex;
+    for (std::size_t i = 0; i < current_.size(); ++i) oldIndex.emplace(current_[i], i);
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      auto it = stats_.find(seq[i]);
+      if (it == stats_.end()) {
+        stats_.emplace(seq[i], MsgDeliveryStats{t, t, true});
+        continue;
+      }
+      auto oldIt = oldIndex.find(seq[i]);
+      const bool moved = oldIt == oldIndex.end() || oldIt->second != i;
+      if (!it->second.presentNow || moved) {
+        it->second.presentNow = true;
+        it->second.lastChange = t;
+      }
+    }
+    current_ = seq;
+    if (keepSnapshots_) snapshots_.push_back(DeliverySnapshot{t, order_++, seq});
+    return true;
+  }
+
+  void expectMatches(const Trace& trace, ProcessId p, MsgId idBound,
+                     std::size_t step) const {
+    EXPECT_EQ(trace.currentDelivered(p), current_) << "step " << step;
+    EXPECT_EQ(trace.prefixViolations(p), prefixViolations_) << "step " << step;
+    EXPECT_EQ(trace.lastPrefixViolation(p), lastViolationAt_) << "step " << step;
+    EXPECT_EQ(trace.lastDeliveryChange(p), lastChangeAt_) << "step " << step;
+    for (MsgId m = 0; m < idBound; ++m) {
+      const std::optional<MsgDeliveryStats> got = trace.deliveryStats(p, m);
+      auto want = stats_.find(m);
+      ASSERT_EQ(got.has_value(), want != stats_.end()) << "step " << step << " id " << m;
+      if (!got) continue;
+      EXPECT_EQ(got->firstSeen, want->second.firstSeen) << "step " << step << " id " << m;
+      EXPECT_EQ(got->lastChange, want->second.lastChange) << "step " << step << " id " << m;
+      EXPECT_EQ(got->presentNow, want->second.presentNow) << "step " << step << " id " << m;
+    }
+    const auto& snaps = trace.deliverySnapshots(p);
+    ASSERT_EQ(snaps.size(), snapshots_.size()) << "step " << step;
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+      EXPECT_EQ(snaps[i].time, snapshots_[i].time) << "step " << step;
+      EXPECT_EQ(snaps[i].order, snapshots_[i].order) << "step " << step;
+      EXPECT_EQ(snaps[i].seq, snapshots_[i].seq) << "step " << step;
+    }
+  }
+
+ private:
+  bool keepSnapshots_;
+  std::vector<MsgId> current_;
+  std::unordered_map<MsgId, MsgDeliveryStats> stats_;
+  std::uint64_t prefixViolations_ = 0;
+  Time lastViolationAt_ = 0;
+  Time lastChangeAt_ = 0;
+  std::vector<DeliverySnapshot> snapshots_;
+  std::uint64_t order_ = 0;
+};
+
+// One random d_i step from `cur`: mostly pure extensions (the fast path),
+// mixed with every kind of rewrite. Ids come from a small pool so removed
+// ids reappear and extensions repeat ids already present.
+std::vector<MsgId> nextDelivery(Rng& rng, std::vector<MsgId> cur, MsgId pool) {
+  switch (rng.below(8)) {
+    case 0:
+    case 1:
+    case 2: {  // pure extension by 1..3 ids, fresh or reappearing
+      const std::uint64_t k = rng.between(1, 3);
+      for (std::uint64_t i = 0; i < k; ++i) cur.push_back(rng.below(pool));
+      break;
+    }
+    case 3:  // extension that repeats an id already in d_i
+      if (!cur.empty()) cur.push_back(cur[rng.below(cur.size())]);
+      cur.push_back(rng.below(pool));
+      break;
+    case 4:  // removal: truncate or drop one id
+      if (!cur.empty()) {
+        if (rng.chance(1, 2)) {
+          cur.resize(rng.below(cur.size()));
+        } else {
+          cur.erase(cur.begin() + static_cast<std::ptrdiff_t>(rng.below(cur.size())));
+        }
+      }
+      break;
+    case 5:  // reorder: swap two positions
+      if (cur.size() >= 2) {
+        std::swap(cur[rng.below(cur.size())], cur[rng.below(cur.size())]);
+      }
+      break;
+    case 6: {  // rewrite: a fresh random sequence
+      cur.assign(rng.below(8), 0);
+      for (MsgId& m : cur) m = rng.below(pool);
+      break;
+    }
+    default:  // unchanged
+      break;
+  }
+  return cur;
+}
+
+TEST(TraceTest, ExtensionFastPathMatchesReindexingRecorder) {
+  constexpr MsgId kPool = 24;
+  for (bool keepSnapshots : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      Trace trace(2, keepSnapshots);
+      std::vector<ReindexingRecorder> ref(2, ReindexingRecorder(keepSnapshots));
+      Time t = 0;
+      for (std::size_t step = 0; step < 200; ++step) {
+        const ProcessId p = static_cast<ProcessId>(rng.below(2));
+        t += rng.below(3);  // several changes may share a timestamp
+        const std::vector<MsgId> seq =
+            nextDelivery(rng, trace.currentDelivered(p), kPool);
+        ASSERT_EQ(trace.recordDelivered(p, t, seq), ref[p].record(t, seq))
+            << "seed " << seed << " step " << step;
+        for (ProcessId q = 0; q < 2; ++q) ref[q].expectMatches(trace, q, kPool, step);
+        if (HasFailure()) return;
+      }
+    }
+  }
 }
 
 // --- Simulator --------------------------------------------------------------
