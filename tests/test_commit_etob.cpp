@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "checkers/commit_checker.h"
 #include "checkers/tob_checker.h"
@@ -12,6 +13,7 @@
 #include "etob/commit_etob.h"
 #include "fd/detectors.h"
 #include "helpers.h"
+#include "scenario/scenario.h"
 
 namespace wfd {
 namespace {
@@ -250,6 +252,54 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CommitSweepTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 7, 19, 43),
                        ::testing::Values<std::size_t>(0, 2)));
+
+// Stream pins for the commit path: what a replica observes, with nothing
+// that depends on wire weight. Recorded before the commit layer learned
+// to ship only the content some process cannot yet name (and to rebase
+// only the new suffix); both are pure wire/work savings, so these must
+// never move. Indexed [entry][seed 1..3]: {delivery stream, commit stream}.
+struct CommitStreamPin {
+  const char* scenario;
+  std::uint64_t streams[3][2];
+};
+
+constexpr CommitStreamPin kCommitStreamPins[] = {
+    {"commit-stable-majority",
+     {{0x7867017edde64ebcULL, 0x2ecdffaebd02d7ddULL},
+      {0x831cd06df6bd19c4ULL, 0x6cedb31efccbeb6aULL},
+      {0x4205f946e6505a23ULL, 0x180bfa907a8bb9f9ULL}}},
+    {"commit-majority-crash",
+     {{0xa0611125f037d9f0ULL, 0xe2ec8ec0601ea932ULL},
+      {0x35df778fbbc22485ULL, 0xefb9ca9cde71d2c1ULL},
+      {0xe69e3abc3362c799ULL, 0x616f6b32a64c135cULL}}},
+    {"lossy-burst-commit",
+     {{0x47449093c10c19cfULL, 0xf4c1408ddc0b9eb8ULL},
+      {0x1c7063b5bf5d54deULL, 0x4ff0e3e5c52421d9ULL},
+      {0x3f818688558b5d1eULL, 0xfd82b85c16e548a0ULL}}},
+};
+
+TEST(CommitStreamPinTest, CatalogStreamsMatchPins) {
+  for (const CommitStreamPin& pin : kCommitStreamPins) {
+    const Scenario* s = findScenario(pin.scenario);
+    ASSERT_NE(s, nullptr) << pin.scenario;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ScenarioInstance inst = instantiateScenario(*s, seed);
+      test::StreamDigest deliveries;
+      test::StreamDigest commits;
+      inst.cluster->observeDeliveries(
+          [&](ProcessId p, Time t, const std::vector<MsgId>& seq) {
+            deliveries.fold(p, t, seq);
+          });
+      inst.cluster->observeOutputs([&](ProcessId p, Time t, const Payload& o) {
+        if (const auto* c = o.as<CommittedPrefix>()) commits.fold(p, t, c->length);
+      });
+      inst.cluster->runToHorizon();
+      const std::string what = std::string(pin.scenario) + " seed " + std::to_string(seed);
+      EXPECT_EQ(deliveries.value, pin.streams[seed - 1][0]) << what << " deliveries";
+      EXPECT_EQ(commits.value, pin.streams[seed - 1][1]) << what << " commits";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace wfd

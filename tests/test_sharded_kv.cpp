@@ -15,6 +15,7 @@
 
 #include "common/hash.h"
 #include "etob/commit_etob.h"
+#include "helpers.h"
 #include "scenario/scenario.h"
 #include "scenario/trace_digest.h"
 #include "shard/shard_router.h"
@@ -256,7 +257,9 @@ TEST(ShardedServingPath, DeltaShardsMatchFullCgOnTheCatalog) {
   }
 }
 
-TEST(ShardedServingPath, LongSingleShardRunMatchesAndStaysLight) {
+// One shard of three replicas under a stable Ω: the long-history
+// deployment the wire budget below and the 1024-put stream pin share.
+ShardedSpec longSingleShardSpec() {
   ShardedSpec spec;
   spec.shards = 1;
   spec.replicasPerShard = 3;
@@ -266,6 +269,11 @@ TEST(ShardedServingPath, LongSingleShardRunMatchesAndStaysLight) {
   spec.config.minDelay = 20;
   spec.config.maxDelay = 40;
   spec.omegaMode = OmegaPreStabilization::kStable;
+  return spec;
+}
+
+TEST(ShardedServingPath, LongSingleShardRunMatchesAndStaysLight) {
+  const ShardedSpec spec = longSingleShardSpec();
   ShardWorkload w;
   w.puts = 512;
   w.keys = 256;
@@ -277,6 +285,69 @@ TEST(ShardedServingPath, LongSingleShardRunMatchesAndStaysLight) {
   // 2473 words per put here and full-CG gossip 7839, so a service that
   // silently went back to shipping CG_i fails this.
   EXPECT_LE(weight / run.committed, 3000u);
+}
+
+// --- Commit-path stream pins ------------------------------------------------
+
+// Folds every shard's replayed delivery and commit streams, shard by
+// shard, into one pair of digests — what the replicas observe and
+// nothing that depends on wire weight.
+std::pair<std::uint64_t, std::uint64_t> streamDigests(const ServingRun& run) {
+  test::StreamDigest deliveries;
+  test::StreamDigest commits;
+  for (std::size_t s = 0; s < run.specs.size(); ++s) {
+    const ShardStreams st = replayShard(run.specs[s], run.seeds[s], run.calls[s], run.end);
+    deliveries.fold(s);
+    commits.fold(s);
+    for (const auto& [p, t, seq] : st.deliveries) deliveries.fold(p, t, seq);
+    for (const auto& [p, t, len] : st.commits) commits.fold(p, t, len);
+  }
+  return {deliveries.value, commits.value};
+}
+
+// Recorded before the commit layer learned to ship only the content some
+// process cannot yet name (and to rebase only the new suffix). Both are
+// pure wire/work savings, so unlike kPinnedDigests (which fold wire
+// weight) these must never move. Indexed like kPinnedDigests:
+// {delivery stream, commit stream}.
+constexpr std::uint64_t kStreamPins[3][3][2] = {
+    // sharded-uniform-commit
+    {{0x29e3abc19c29e748ULL, 0xefca1e67c476effeULL},
+     {0x0cd3642bf0fc4d8dULL, 0x4b3c5e608332de4bULL},
+     {0xd177b3b1cdd1b6cdULL, 0x4d29d24ac0de4d0fULL}},
+    // sharded-zipf-hotkey
+    {{0x754aa435ea05518dULL, 0x55c68fbe7563166bULL},
+     {0x2093786298c76115ULL, 0xf826e0e90d8d9e9aULL},
+     {0x99774380bf61728aULL, 0x296d2a4e8a93a524ULL}},
+    // sharded-rebalance-crash
+    {{0xaf794b3dfce82d6fULL, 0x3afe35ed67b5badcULL},
+     {0x63ef17c59e5f7b33ULL, 0x8b454dc9bc0651c0ULL},
+     {0xdccb471fd3b0095eULL, 0x6137217929921f10ULL}},
+};
+constexpr std::uint64_t kLongRunStreamPins[2] = {0x27442b9f81ac6034ULL,
+                                                  0x6de10473bbc78211ULL};
+
+TEST(CommitStreamPinTest, ShardedStreamsMatchPins) {
+  const auto& catalog = shardScenarioCatalog();
+  ASSERT_EQ(catalog.size(), 3u);
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      const ShardScenario& sc = catalog[i];
+      const auto [deliveries, commits] =
+          streamDigests(driveServingPath(sc.spec, sc.workload, sc.faults, kSeeds[k]));
+      EXPECT_EQ(deliveries, kStreamPins[i][k][0]) << sc.name << " seed " << kSeeds[k];
+      EXPECT_EQ(commits, kStreamPins[i][k][1]) << sc.name << " seed " << kSeeds[k];
+    }
+  }
+  ShardWorkload w;
+  w.puts = 1024;
+  w.keys = 256;
+  w.interval = 10;
+  const ServingRun run = driveServingPath(longSingleShardSpec(), w, {}, 1);
+  ASSERT_EQ(run.committed, w.puts);
+  const auto [deliveries, commits] = streamDigests(run);
+  EXPECT_EQ(deliveries, kLongRunStreamPins[0]) << "1 shard x 1024 puts";
+  EXPECT_EQ(commits, kLongRunStreamPins[1]) << "1 shard x 1024 puts";
 }
 
 // --- Cross-shard independence ----------------------------------------------
