@@ -2,22 +2,23 @@
 // latency vs shard count, under uniform and Zipfian(0.99) keys.
 //
 // Claim: sharding the commit-eTOB KV service over a consistent hash
-// ring raises aggregate throughput even on ONE core, because a shard's
-// cost is still superlinear in the commands it orders. The benchmark is
-// single-threaded (S shards step interleaved), so every speedup below is
-// algorithmic. Serving shards gossip per-message deltas and the trace
-// recorder appends in O(Δ), so the superlinear term left is the §7
-// commit path: each EtobCommitMsg re-ships the whole committed prefix
-// and adoptCommit re-bases the causality graph on it. One shard costs
-// ~65 µs per put at 1024 puts and ~300 µs at 4096. Splitting a fixed
-// N = 1024 ops over S shards cuts that term per shard, so S=8 still
-// beats S=1 several times over under uniform keys (3.6x cpu_time,
-// docs/BENCHMARKS.md), less than the ~5x it did while every broadcast
-// also shipped the whole causality graph. Linear per-shard cost will
-// take that speedup toward 1x; wall-clock scaling in S then needs
-// parallel stepping. Zipfian(0.99) keys concentrate load on the hot
-// shard, which caps the win — the gap between the two key distributions
-// is the price of skew, the classical motivation for hot-key splitting.
+// ring raises aggregate throughput even on ONE core exactly as far as a
+// shard's cost is still superlinear in the commands it orders. The
+// benchmark is single-threaded (S shards step interleaved), so every
+// speedup below is algorithmic. Serving shards gossip per-message
+// deltas, the trace recorder appends in O(Δ), and §7 commits ship only
+// the content some replica cannot yet name and rebase only the new
+// suffix. What still grows with history is O(n) copying per d_i change
+// (delivery, the replica's drain, prefix checks): one shard costs ~23 µs
+// per put at 1024 puts and ~46 at 4096 (BM_E14SingleShardPuts, cpu
+// time), against ~61 and ~229 while every commit re-shipped its whole
+// prefix. So splitting a fixed N = 1024 ops over S shards now buys
+// S=8 only ~1.5x over S=1 (docs/BENCHMARKS.md), down from 3.6x; flat
+// per-shard cost would take it to 1x, and wall-clock scaling in S then
+// needs parallel stepping. Zipfian(0.99) keys concentrate load on the
+// hot shard, which caps the win — the gap between the two key
+// distributions is the price of skew, the classical motivation for
+// hot-key splitting.
 //
 // Method: per point, a ShardedService (S commit-eTOB shards x 3
 // replicas, Δ_t=10, delays [20,40], stable Omega) driven by a
@@ -26,7 +27,8 @@
 // is observed committed. Reported: aggregate committed-ops/sec of wall
 // time, and p50/p99 of (commit-observed - issue) in ticks. Latency is
 // quantized by the 10-tick poll cadence; that floor is shared by every
-// point, so the cross-S comparison stands.
+// point, so the cross-S comparison stands. BM_E14SingleShardPuts/N runs
+// the same loop at S=1, uniform keys, for N puts.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -51,7 +53,8 @@ struct E14Run {
   std::vector<Time> latencies;
 };
 
-E14Run runSharded(std::size_t shards, bool zipfian, std::uint64_t seed) {
+E14Run runSharded(std::size_t shards, std::uint64_t totalOps, bool zipfian,
+                  std::uint64_t seed) {
   ShardedSpec spec;
   spec.shards = shards;
   spec.replicasPerShard = 3;
@@ -70,9 +73,9 @@ E14Run runSharded(std::size_t shards, bool zipfian, std::uint64_t seed) {
 
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t issued = 0;
-  while (issued < kTotalOps) {
+  while (issued < totalOps) {
     svc.advanceBy(kInterval);
-    for (std::size_t j = 0; j < shards && issued < kTotalOps; ++j) {
+    for (std::size_t j = 0; j < shards && issued < totalOps; ++j) {
       const std::uint64_t key = zipfian ? zipf.next() : uniform.next();
       router.put(key, ++issued);
     }
@@ -103,14 +106,14 @@ Time percentile(std::vector<Time>& lat, double p) {
   return lat[idx];
 }
 
-void BM_E14Point(benchmark::State& state, bool zipfian) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
+void BM_E14Point(benchmark::State& state, std::size_t shards, std::uint64_t totalOps,
+                 bool zipfian) {
   std::uint64_t seed = 1;
   double seconds = 0.0;
   std::uint64_t committed = 0;
   std::vector<Time> latencies;
   for (auto _ : state) {
-    E14Run r = runSharded(shards, zipfian, seed++);
+    E14Run r = runSharded(shards, totalOps, zipfian, seed++);
     benchmark::DoNotOptimize(r);
     seconds += r.seconds;
     committed += r.committed;
@@ -123,11 +126,21 @@ void BM_E14Point(benchmark::State& state, bool zipfian) {
   state.counters["p99_ticks"] = static_cast<double>(percentile(latencies, 0.99));
 }
 
+std::size_t shardsArg(const benchmark::State& state) {
+  return static_cast<std::size_t>(state.range(0));
+}
+
 void BM_E14ShardedUniform(benchmark::State& state) {
-  BM_E14Point(state, /*zipfian=*/false);
+  BM_E14Point(state, shardsArg(state), kTotalOps, /*zipfian=*/false);
 }
 void BM_E14ShardedZipf(benchmark::State& state) {
-  BM_E14Point(state, /*zipfian=*/true);
+  BM_E14Point(state, shardsArg(state), kTotalOps, /*zipfian=*/true);
+}
+// Run length instead of shard count: one shard, uniform keys, /N puts.
+// Per-put cost flat in history makes time(4096) / time(1024) = 4;
+// scripts/check_e14_linear.sh gates that ratio.
+void BM_E14SingleShardPuts(benchmark::State& state) {
+  BM_E14Point(state, 1, static_cast<std::uint64_t>(state.range(0)), /*zipfian=*/false);
 }
 
 // The /S argument doubles as the CI smoke filter handle:
@@ -137,6 +150,9 @@ BENCHMARK(BM_E14ShardedUniform)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E14ShardedZipf)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E14SingleShardPuts)
+    ->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

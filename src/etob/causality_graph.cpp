@@ -151,14 +151,29 @@ const std::vector<MsgId>& CausalityGraph::extendPromote() {
 const std::vector<MsgId>& CausalityGraph::resetPromote(
     const std::vector<MsgId>& base) {
   syncNodeArrays();
-  std::fill(emitted_.begin(), emitted_.end(), 0);
-  std::fill(readyFlag_.begin(), readyFlag_.end(), 0);
-  ready_.clear();
+  // Only nodes past the common prefix of the maintained sequence and the
+  // new base change emitted-ness. Every other node's unmet-predecessor
+  // count is already exact, and the ready frontier already holds every
+  // ready node (the engine's invariant), so flipping the changed nodes
+  // and refreshing them and their successors leaves exactly the state a
+  // from-scratch recount would.
+  const std::size_t common = static_cast<std::size_t>(
+      std::mismatch(promoteSeq_.begin(), promoteSeq_.end(), base.begin(), base.end())
+          .first -
+      promoteSeq_.begin());
+  flipScratch_.clear();
+  for (std::size_t k = common; k < promoteSeq_.size(); ++k) {
+    if (const auto idx = graph_.indexOf(promoteSeq_[k])) {
+      emitted_[*idx] = 0;
+      flipScratch_.push_back(*idx);
+    }
+  }
   bool anyForeign = false;
-  for (MsgId id : base) {
-    if (const auto idx = graph_.indexOf(id)) {
+  for (std::size_t k = common; k < base.size(); ++k) {
+    if (const auto idx = graph_.indexOf(base[k])) {
       WFD_ENSURE_MSG(!emitted_[*idx], "promote sequence contains duplicates");
       emitted_[*idx] = 1;
+      flipScratch_.push_back(*idx);
     } else {
       anyForeign = true;
     }
@@ -170,13 +185,15 @@ const std::vector<MsgId>& CausalityGraph::resetPromote(
         std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
         "promote sequence contains duplicates");
   }
-  promoteSeq_ = base;
-  for (std::uint32_t i = 0; i < graph_.nodeCount(); ++i) {
-    if (emitted_[i]) {
-      unmetPreds_[i] = 0;
-      continue;
+  promoteSeq_.resize(common);
+  promoteSeq_.insert(promoteSeq_.end(), base.begin() + common, base.end());
+  // A node dropped and re-added past the common prefix appears twice in
+  // the scratch list; both refreshes see the final flags.
+  for (const std::uint32_t i : flipScratch_) {
+    if (!emitted_[i]) refreshNode(i);
+    for (const std::uint32_t s : graph_.succIndices(i)) {
+      if (!emitted_[s]) refreshNode(s);
     }
-    refreshNode(i);
   }
   return extendPromote();
 }

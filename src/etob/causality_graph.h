@@ -109,7 +109,9 @@ class CausalityGraph {
   /// Rebase: replaces the maintained sequence with `base` (which must be
   /// duplicate-free and respect the graph's edges — the committed prefix
   /// of the §7 extension) and extends it with everything promotable.
-  /// Equivalent to the batch extendPromote(base).
+  /// Equivalent to the batch extendPromote(base), at the cost of the
+  /// nodes past the common prefix of the two sequences, their successors
+  /// and what becomes promotable (plus one scan for the common prefix).
   const std::vector<MsgId>& resetPromote(const std::vector<MsgId>& base);
 
  private:
@@ -143,6 +145,8 @@ class CausalityGraph {
 
   /// Reused union bookkeeping (other graph index -> this graph index).
   std::vector<std::uint32_t> unionMapScratch_;
+  /// Reused resetPromote bookkeeping (nodes whose emitted flag changed).
+  std::vector<std::uint32_t> flipScratch_;
 };
 
 }  // namespace wfd

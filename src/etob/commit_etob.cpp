@@ -22,11 +22,6 @@ bool strongerCommit(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
   return a < b;
 }
 
-bool sameIds(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids) {
-  return std::equal(prefix.begin(), prefix.end(), ids.begin(), ids.end(),
-                    [](const AppMsg& m, MsgId id) { return m.id == id; });
-}
-
 /// Consecutive refused promotes before a follower hands its commit back
 /// to the trusted leader. An ordinary refusal is a promote the leader
 /// sent before its own copy of the commit arrived; on reliable links a
@@ -60,7 +55,7 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
       refusals_ = 0;
     } else if (adopted.belowFloor && ++refusals_ == kRefusalsBeforeHandBack) {
       refusals_ = 0;
-      sendCommit(from, /*handBack=*/true, fx);
+      sendCommit(from, /*contentFrom=*/0, /*handBack=*/true, fx);
     }
     return;
   }
@@ -69,13 +64,13 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
     return;
   }
   if (const auto* commit = msg.as<EtobCommitMsg>()) {
-    adoptCommit(commit->prefix, fx);
+    adoptCommit(*commit, fx);
     // A hand-back this process does not now hold is weaker than its own
     // commit (a prefix of it, or the losing side of a conflict). Answer
     // with the stronger one, or the sender keeps refusing every promote
     // built on it.
-    if (commit->handBack && !sameIds(commit->prefix, committed_)) {
-      sendCommit(from, /*handBack=*/false, fx);
+    if (commit->handBack && commit->ids != committed_) {
+      sendCommit(from, /*contentFrom=*/0, /*handBack=*/false, fx);
     }
     return;
   }
@@ -99,11 +94,18 @@ void CommitEtobAutomaton::onAck(const StepContext& ctx, ProcessId from,
                                 std::uint64_t epoch, Effects& fx) {
   auto seqIt = epochSeq_.find(epoch);
   if (seqIt == epochSeq_.end()) return;  // pruned or never promoted by me
+  const std::vector<MsgId>& candidate = seqIt->second;
+  // `from` adopted this sequence, so it can name every body in it.
+  // promote_i only grows between rebases, so every sequence counted here
+  // is a prefix of the current one, as is every commit made from it.
+  ackedLen_.resize(ctx.processCount, 0);
+  if (epoch > rebaseEpoch_) {
+    ackedLen_[from] = std::max(ackedLen_[from], candidate.size());
+  }
   auto& voters = acks_[epoch];
   voters.insert(from);
   const std::size_t majority = ctx.processCount / 2 + 1;
   if (voters.size() < majority) return;
-  const std::vector<MsgId>& candidate = seqIt->second;
   if (candidate.size() <= committed_.size()) return;  // nothing new
   if (!isPrefix(committed_, candidate)) {
     // Should not happen while this process leads (its own promotes
@@ -121,7 +123,8 @@ void CommitEtobAutomaton::onAck(const StepContext& ctx, ProcessId from,
   // still stands behind.
   if (!isPrefix(candidate, core_.promoteSequence())) return;
   committed_ = candidate;
-  sendCommit(kBroadcast, /*handBack=*/false, fx);
+  const std::size_t named = *std::min_element(ackedLen_.begin(), ackedLen_.end());
+  sendCommit(kBroadcast, std::min(named, committed_.size()), /*handBack=*/false, fx);
   // The indication must describe this process's own delivery sequence;
   // the leader's loopback promote may still be in flight, so align d_i
   // with the committed prefix before indicating.
@@ -129,27 +132,31 @@ void CommitEtobAutomaton::onAck(const StepContext& ctx, ProcessId from,
   fx.output(Payload::of(CommittedPrefix{committed_.size()}));
 }
 
-void CommitEtobAutomaton::sendCommit(ProcessId to, bool handBack,
-                                     Effects& fx) const {
+void CommitEtobAutomaton::sendCommit(ProcessId to, std::size_t contentFrom,
+                                     bool handBack, Effects& fx) const {
   std::vector<AppMsg> content;
-  content.reserve(committed_.size());
-  std::size_t weight = 2;
-  for (MsgId id : committed_) {
-    const AppMsg* m = core_.findMessage(id);
+  content.reserve(committed_.size() - contentFrom);
+  // Every id costs a word; every shipped body costs 1 + |body| more, so a
+  // full-content commit weighs 2 + Σ(2 + |body|).
+  std::size_t weight = 2 + committed_.size();
+  for (std::size_t k = contentFrom; k < committed_.size(); ++k) {
+    const AppMsg* m = core_.findMessage(committed_[k]);
     WFD_ENSURE_MSG(m != nullptr, "committed a message this process cannot name");
     content.push_back(*m);
-    weight += 2 + m->body.size();
+    weight += 1 + m->body.size();
   }
-  fx.send(to, Payload::of(EtobCommitMsg{std::move(content), handBack}), weight);
+  fx.send(to, Payload::of(EtobCommitMsg{committed_, std::move(content), handBack}),
+          weight);
 }
 
-void CommitEtobAutomaton::adoptCommit(const std::vector<AppMsg>& prefix,
-                                      Effects& fx) {
-  std::vector<MsgId> ids;
-  ids.reserve(prefix.size());
-  for (const AppMsg& m : prefix) ids.push_back(m.id);
-  if (isPrefix(ids, committed_)) return;  // already covered
-  if (!isPrefix(committed_, ids)) {
+void CommitEtobAutomaton::adoptCommit(const EtobCommitMsg& msg, Effects& fx) {
+  const std::vector<MsgId>& ids = msg.ids;
+  const std::size_t common = static_cast<std::size_t>(
+      std::mismatch(committed_.begin(), committed_.end(), ids.begin(), ids.end())
+          .first -
+      committed_.begin());
+  if (common == ids.size()) return;  // already covered
+  if (common < committed_.size()) {
     // Conflicting commit: possible only outside the §7 proviso (two
     // leaders each gathered a majority of stale acknowledgments). Keep
     // the stronger of the two — a deterministic join all processes
@@ -159,10 +166,14 @@ void CommitEtobAutomaton::adoptCommit(const std::vector<AppMsg>& prefix,
     ++commitConflicts_;
     if (!strongerCommit(ids, committed_)) return;
   }
-  // Learn the content (the committing leader included it) and rebase the
-  // local promote sequence onto the committed prefix.
-  committed_ = std::move(ids);
-  core_.rebase(prefix, committed_);
+  // Learn the content past the common prefix (shipped, or already named
+  // here) and rebase the local promote sequence onto the committed
+  // prefix. The rebase may reorder promote_i, so acknowledgments of
+  // earlier promotes no longer say what a process can name.
+  committed_ = ids;
+  core_.rebase(committed_, common, msg.content);
+  std::fill(ackedLen_.begin(), ackedLen_.end(), 0);
+  rebaseEpoch_ = core_.promoteEpoch();
   // The indication is emitted once the local delivery sequence reflects
   // the committed prefix (it may still show an older leader's view).
   if (!isPrefix(committed_, core_.delivered())) core_.deliver(committed_, fx);

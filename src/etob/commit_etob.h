@@ -15,7 +15,9 @@
 // and drives it through its layer hooks:
 //  * followers acknowledge each adopted promote epoch back to its leader;
 //  * when a majority acknowledged epoch e, the leader marks the sequence
-//    it promoted at e as committed and broadcasts it (content included);
+//    it promoted at e as committed and broadcasts its ids, with content
+//    only for the suffix some process may not yet name (see
+//    EtobCommitMsg);
 //  * every process refuses to adopt a promote that contradicts its local
 //    committed prefix, and every leader rebuilds its promote sequence to
 //    extend any newly learned committed prefix;
@@ -65,13 +67,22 @@ struct EtobAckMsg {
   std::uint64_t epoch = 0;
 };
 struct EtobCommitMsg {
-  /// The committed sequence, content included (receivers may not have
-  /// seen some update messages yet).
-  std::vector<AppMsg> prefix;
+  /// The committed sequence.
+  std::vector<MsgId> ids;
+  /// Bodies of ids[contentFrom()..]. A broadcast commit leaves out the
+  /// prefix every process has acknowledged (since the committer's last
+  /// rebase) as part of one of the committer's promotes: an acknowledged
+  /// promote was adopted, adoption stashes every body it carries, and
+  /// stashed bodies are never dropped — so every receiver can name
+  /// everything below contentFrom(). Hand-backs and answers to them ship
+  /// everything.
+  std::vector<AppMsg> content;
   /// Sent by a follower whose commit guard keeps refusing the receiver's
   /// promotes (see CommitEtobAutomaton::onMessage). A receiver holding a
   /// different, stronger commit answers with its own.
   bool handBack = false;
+
+  std::size_t contentFrom() const { return ids.size() - content.size(); }
 };
 
 /// The §7 layer: owns an EtobAutomaton (the one Algorithm 5 core) and
@@ -98,14 +109,22 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
  private:
   void onAck(const StepContext& ctx, ProcessId from, std::uint64_t epoch,
              Effects& fx);
-  void adoptCommit(const std::vector<AppMsg>& prefix, Effects& fx);
-  /// Sends committed_, content included, to `to` (kBroadcast = all).
-  void sendCommit(ProcessId to, bool handBack, Effects& fx) const;
+  void adoptCommit(const EtobCommitMsg& msg, Effects& fx);
+  /// Sends committed_ to `to` with content from `contentFrom` on.
+  void sendCommit(ProcessId to, std::size_t contentFrom, bool handBack,
+                  Effects& fx) const;
 
   EtobAutomaton core_;
   std::vector<MsgId> committed_;
   std::map<std::uint64_t, std::vector<MsgId>> epochSeq_;  // my promoted seqs
   std::map<std::uint64_t, std::set<ProcessId>> acks_;
+  /// Per process, the length of the longest of my promote sequences it has
+  /// acknowledged since my last rebase (all of them prefixes of my current
+  /// promote sequence): the content it can name without being sent it.
+  std::vector<std::size_t> ackedLen_;
+  /// My promote epoch at my last rebase; acks of older epochs name a
+  /// sequence the rebase may have reordered and do not count.
+  std::uint64_t rebaseEpoch_ = 0;
   std::uint64_t commitConflicts_ = 0;
   /// Promotes refused by the commit guard since the last adoption or
   /// hand-back.

@@ -1,5 +1,7 @@
 #include "etob/etob_automaton.h"
 
+#include <algorithm>
+
 #include "common/ensure.h"
 
 namespace wfd {
@@ -106,11 +108,20 @@ EtobAutomaton::PromoteAdoption EtobAutomaton::adoptPromote(
   return {chain.epoch, false};
 }
 
-void EtobAutomaton::rebase(const std::vector<AppMsg>& prefix,
-                           const std::vector<MsgId>& ids) {
-  for (const AppMsg& m : prefix) {
-    cg_.addMessage(m, {});
-    adoptedBodies_.erase(m.id);
+void EtobAutomaton::rebase(const std::vector<MsgId>& ids, std::size_t known,
+                           const std::vector<AppMsg>& content) {
+  WFD_DCHECK(known <= ids.size() && content.size() <= ids.size());
+  // The previous committed prefix is in cg_: a leader commits from its
+  // own promote sequence, and every rebase learns its whole prefix.
+  WFD_DCHECK(std::all_of(ids.begin(), ids.begin() + known,
+                         [this](MsgId id) { return cg_.contains(id); }));
+  const std::size_t contentFrom = ids.size() - content.size();
+  for (std::size_t k = known; k < ids.size(); ++k) {
+    const AppMsg* m = k >= contentFrom ? &content[k - contentFrom] : findMessage(ids[k]);
+    WFD_ENSURE_MSG(m != nullptr, "committed a message this process cannot name");
+    WFD_DCHECK(m->id == ids[k]);
+    cg_.addMessage(*m, {});
+    adoptedBodies_.erase(ids[k]);
   }
   cg_.resetPromote(ids);
   rebased_ = true;

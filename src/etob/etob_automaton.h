@@ -137,10 +137,15 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
   PromoteAdoption adoptPromote(const StepContext& ctx, ProcessId from,
                                const EtobPromoteMsg& msg,
                                const std::vector<MsgId>& floor, Effects& fx);
-  /// Learns the content of `prefix` (whose ids are `ids`) and rebases
-  /// promote_i onto it. The sequence is no longer an extension of what was
-  /// last sent, so the next promote is a full snapshot.
-  void rebase(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids);
+  /// Rebases promote_i onto `ids` (a committed prefix). `ids[0..known)`
+  /// must already be in the causality graph (the previous committed
+  /// prefix); only the ids past it are learned, from `content` (the
+  /// bodies of the last content.size() ids) or, below that, from what this
+  /// process already names (findMessage). The sequence is no longer an
+  /// extension of what was last sent, so the next promote is a full
+  /// snapshot.
+  void rebase(const std::vector<MsgId>& ids, std::size_t known,
+              const std::vector<AppMsg>& content);
   /// d_i := seq.
   void deliver(const std::vector<MsgId>& seq, Effects& fx);
   /// Epoch of this process's latest sent promote (0 = none yet).

@@ -209,6 +209,103 @@ TEST(CausalityGraphTest, IncrementalMatchesBatchOnRandomEventStreams) {
   EXPECT_EQ(a.resetPromote(base), viaBatch);
 }
 
+TEST(CausalityGraphTest, IncrementalRebaseMatchesBatchAtRandomPoints) {
+  // Differential check of the incremental resetPromote: rebase at random
+  // points of random event streams — onto a prefix of the maintained
+  // sequence, onto the same set in another valid order, and onto a
+  // shorter conflicting order — keep adding and unioning afterwards, and
+  // compare with the batch reference after every step.
+  for (std::uint64_t trial = 0; trial < 24; ++trial) {
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (trial * 0x2545f4914f6cdd1dull);
+    auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    constexpr std::uint32_t kMsgs = 40;
+    std::vector<AppMsg> msgs;
+    std::vector<std::vector<MsgId>> deps(kMsgs);
+    for (std::uint32_t k = 0; k < kMsgs; ++k) {
+      msgs.push_back(msg(k % 4, k));
+      for (std::uint32_t j = 0; j < k; ++j) {
+        if (next() % 5 == 0) deps[k].push_back(msgs[j].id);
+      }
+    }
+    auto shuffled = [&] {
+      std::vector<std::uint32_t> order(kMsgs);
+      for (std::uint32_t k = 0; k < kMsgs; ++k) order[k] = k;
+      for (std::uint32_t k = kMsgs; k > 1; --k) {
+        std::swap(order[k - 1], order[next() % k]);
+      }
+      return order;
+    };
+    // A random order of `set` (downward closed: a prefix of a promote
+    // sequence) that respects every edge of `cg`.
+    auto reordered = [&](const CausalityGraph& cg, std::vector<MsgId> set) {
+      std::vector<MsgId> out;
+      while (!set.empty()) {
+        std::vector<std::size_t> free;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+          const bool blocked = std::any_of(set.begin(), set.end(), [&](MsgId o) {
+            return o != set[i] && cg.causallyPrecedes(o, set[i]);
+          });
+          if (!blocked) free.push_back(i);
+        }
+        const std::size_t pick = free[next() % free.size()];
+        out.push_back(set[pick]);
+        set.erase(set.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      return out;
+    };
+    CausalityGraph a, b;
+    std::vector<MsgId> expectA, expectB;
+    auto check = [](CausalityGraph& cg, std::vector<MsgId>& expect) {
+      expect = cg.extendPromote(expect);  // batch reference (const)
+      ASSERT_EQ(cg.extendPromote(), expect);
+    };
+    auto rebaseAtRandom = [&](CausalityGraph& cg, std::vector<MsgId>& expect) {
+      const std::vector<MsgId>& seq = cg.promoteSequence();
+      if (seq.empty()) return;
+      const std::size_t len = next() % (seq.size() + 1);
+      std::vector<MsgId> base(seq.begin(), seq.begin() + static_cast<std::ptrdiff_t>(len));
+      switch (next() % 3) {
+        case 0:  // a prefix of the maintained sequence
+          break;
+        case 1:  // the whole set, another valid order
+          base = reordered(cg, seq);
+          break;
+        default:  // shorter and (usually) conflicting
+          base = reordered(cg, base);
+          break;
+      }
+      expect = cg.extendPromote(base);
+      ASSERT_EQ(cg.resetPromote(base), expect);
+    };
+    const auto orderA = shuffled(), orderB = shuffled();
+    for (std::uint32_t step = 0; step < kMsgs; ++step) {
+      a.addMessage(msgs[orderA[step]], deps[orderA[step]]);
+      check(a, expectA);
+      b.addMessage(msgs[orderB[step]], deps[orderB[step]]);
+      check(b, expectB);
+      if (next() % 3 == 0) rebaseAtRandom(a, expectA);
+      if (next() % 4 == 0) rebaseAtRandom(b, expectB);
+      if (step % 5 == 4) {
+        a.unionWith(b);
+        check(a, expectA);
+      }
+      if (step % 7 == 6) {
+        b.unionWith(a);
+        check(b, expectB);
+      }
+    }
+    a.unionWith(b);
+    check(a, expectA);
+    rebaseAtRandom(a, expectA);
+    EXPECT_EQ(expectA.size(), kMsgs) << "everything promotable in the end";
+  }
+}
+
 TEST(CausalityGraphTest, FrontierReturnsCausallyMaximal) {
   CausalityGraph cg;
   const AppMsg a = msg(0, 0), b = msg(0, 1), c = msg(1, 0);

@@ -156,33 +156,55 @@ TEST(CommitEtobTest, IndicationMonotonePerProcess) {
   }
 }
 
-/// Commit-eTOB probe that counts the promotes its automaton broadcasts
-/// (the wrapped automaton sees exactly the same steps and effects).
-class PromoteCountingCommitEtob final
-    : public CloneableAutomaton<PromoteCountingCommitEtob> {
+/// One commit message a probed automaton sent.
+struct SentCommit {
+  ProcessId to = 0;
+  std::size_t ids = 0;
+  std::size_t contentFrom = 0;
+  bool handBack = false;
+};
+
+/// Commit-eTOB probe that records the promotes and commit messages its
+/// automaton sends (the wrapped automaton sees exactly the same steps and
+/// effects).
+class RecordingCommitEtob final : public CloneableAutomaton<RecordingCommitEtob> {
  public:
-  explicit PromoteCountingCommitEtob(EtobConfig config) : inner_(config) {}
+  explicit RecordingCommitEtob(EtobConfig config = {}) : inner_(config) {}
 
   void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override {
+    const std::size_t before = fx.sends().size();
     inner_.onInput(ctx, input, fx);
+    record(fx, before);
   }
   void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
                  Effects& fx) override {
+    const std::size_t before = fx.sends().size();
     inner_.onMessage(ctx, from, msg, fx);
+    record(fx, before);
   }
   void onTimeout(const StepContext& ctx, Effects& fx) override {
     const std::size_t before = fx.sends().size();
     inner_.onTimeout(ctx, fx);
-    for (std::size_t k = before; k < fx.sends().size(); ++k) {
-      if (fx.sends()[k].payload.holds<EtobPromoteMsg>()) ++promotes_;
-    }
+    record(fx, before);
   }
 
   std::uint64_t promotes() const { return promotes_; }
+  const std::vector<SentCommit>& commits() const { return commits_; }
 
  private:
+  void record(const Effects& fx, std::size_t from) {
+    for (std::size_t k = from; k < fx.sends().size(); ++k) {
+      const OutboundMsg& out = fx.sends()[k];
+      if (out.payload.holds<EtobPromoteMsg>()) ++promotes_;
+      if (const auto* c = out.payload.as<EtobCommitMsg>()) {
+        commits_.push_back({out.to, c->ids.size(), c->contentFrom(), c->handBack});
+      }
+    }
+  }
+
   CommitEtobAutomaton inner_;
   std::uint64_t promotes_ = 0;
+  std::vector<SentCommit> commits_;
 };
 
 TEST(CommitEtobTest, HonoursPromoteRefreshEvery) {
@@ -197,7 +219,7 @@ TEST(CommitEtobTest, HonoursPromoteRefreshEvery) {
     EtobConfig protoCfg;
     protoCfg.promoteRefreshEvery = refreshEvery;
     for (ProcessId p = 0; p < 3; ++p) {
-      sim.addProcess(p, std::make_unique<PromoteCountingCommitEtob>(protoCfg));
+      sim.addProcess(p, std::make_unique<RecordingCommitEtob>(protoCfg));
     }
     BroadcastWorkload w;
     w.perProcess = 5;
@@ -213,8 +235,7 @@ TEST(CommitEtobTest, HonoursPromoteRefreshEvery) {
         << (report.errors.empty() ? "" : report.errors[0]);
     std::uint64_t total = 0;
     for (ProcessId p = 0; p < 3; ++p) {
-      total += static_cast<const PromoteCountingCommitEtob&>(sim.automaton(p))
-                   .promotes();
+      total += static_cast<const RecordingCommitEtob&>(sim.automaton(p)).promotes();
     }
     return total;
   };
@@ -222,6 +243,192 @@ TEST(CommitEtobTest, HonoursPromoteRefreshEvery) {
   const std::uint64_t suppressed = promotesSent(50);
   EXPECT_GT(suppressed, 0u);
   EXPECT_LT(suppressed, everyLambda);
+}
+
+// --- The commit content bound ------------------------------------------------
+
+// Runs a 3-process stable-leader run to the horizon, checks the §7
+// outcome (safe, every broadcast committed everywhere) and returns every
+// commit message sent.
+std::vector<SentCommit> runRecorded(FailurePattern fp) {
+  auto cfg = commitConfig(3);
+  auto omega = std::make_shared<OmegaFd>(fp, 0, OmegaPreStabilization::kStable);
+  Simulator sim(cfg, fp, omega);
+  for (ProcessId p = 0; p < 3; ++p) {
+    sim.addProcess(p, std::make_unique<RecordingCommitEtob>());
+  }
+  BroadcastWorkload w;
+  w.perProcess = 40;
+  w.interval = 15;
+  auto log = scheduleBroadcastWorkload(sim, w);
+  sim.run();
+  const auto commit = checkCommitSafety(sim.trace(), fp);
+  EXPECT_TRUE(commit.safetyOk()) << (commit.errors.empty() ? "" : commit.errors[0]);
+  EXPECT_EQ(commit.committedLenAllCorrect, log.size());
+  const auto report = checkBroadcastRun(sim.trace(), log, fp);
+  EXPECT_TRUE(report.coreOk()) << (report.errors.empty() ? "" : report.errors[0]);
+  std::vector<SentCommit> all;
+  for (ProcessId p = 0; p < 3; ++p) {
+    const auto& c = static_cast<const RecordingCommitEtob&>(sim.automaton(p)).commits();
+    all.insert(all.end(), c.begin(), c.end());
+  }
+  return all;
+}
+
+TEST(CommitContentBoundTest, StableRunShipsOnlyTheUnacknowledgedWindow) {
+  // The leader commits every few λ; by its second commit every process
+  // has acknowledged some promote, so each commit ships only the bodies
+  // past the shortest acknowledged promote (at most 4 in this run) —
+  // where shipping everything would send up to 120.
+  const std::vector<SentCommit> commits = runRecorded(FailurePattern::noFailures(3));
+  ASSERT_GE(commits.size(), 40u);
+  EXPECT_EQ(commits.back().ids, 120u);
+  for (std::size_t k = 0; k < commits.size(); ++k) {
+    const SentCommit& c = commits[k];
+    EXPECT_EQ(c.to, kBroadcast);
+    EXPECT_FALSE(c.handBack);
+    EXPECT_LE(c.ids - c.contentFrom, 4u) << "commit " << k << " of " << c.ids;
+    if (k > 0) {
+      EXPECT_GT(c.contentFrom, 0u) << "commit " << k;
+    }
+  }
+}
+
+TEST(CommitContentBoundTest, CrashedFollowerGetsFullContent) {
+  // A follower crashed from t=0 never acknowledges, so no prefix is known
+  // to be nameable everywhere: every commit ships everything, and the run
+  // still commits every broadcast of the correct majority.
+  const std::vector<SentCommit> commits =
+      runRecorded(FailurePattern::crashesAt(3, {{2, 0}}));
+  ASSERT_FALSE(commits.empty());
+  for (const SentCommit& c : commits) {
+    EXPECT_EQ(c.to, kBroadcast);
+    EXPECT_EQ(c.contentFrom, 0u) << "commit of " << c.ids;
+  }
+  EXPECT_EQ(commits.back().ids, 80u);
+}
+
+TEST(CommitContentBoundTest, HandBacksAndTheirAnswersShipEverything) {
+  // Direct unit check at a follower p1 of n=3: it adopts p0's promote,
+  // acknowledges it and learns p0's commit of [m1, m2]. The new leader p2
+  // then keeps promoting [m2], which contradicts the commit, until p1
+  // hands the commit back with all of its content.
+  CommitEtobAutomaton a;
+  StepContext ctx;
+  ctx.self = 1;
+  ctx.processCount = 3;
+  ctx.fd.leader = 0;
+  AppMsg m1, m2;
+  m1.id = makeMsgId(0, 0);
+  m1.origin = 0;
+  m1.body = {7};
+  m2.id = makeMsgId(2, 0);
+  m2.origin = 2;
+  m2.body = {8, 9};
+  const std::vector<MsgId> ids{m1.id, m2.id};
+  Effects fx;
+  a.onMessage(ctx, 0, Payload::of(EtobPromoteMsg{{m1, m2}, 1, 0}), fx);
+  ASSERT_EQ(fx.sends().size(), 1u);
+  EXPECT_TRUE(fx.sends()[0].payload.holds<EtobAckMsg>());
+  a.onMessage(ctx, 0, Payload::of(EtobCommitMsg{ids, {}, false}), fx);
+  ASSERT_EQ(a.committedPrefix(), ids) << "a commit of acknowledged content";
+  // The commit carried no bodies, so the rebase learned both from the
+  // adopted promote: as leader, p1 can promote them.
+  ctx.fd.leader = 1;
+  fx.clear();
+  a.onTimeout(ctx, fx);
+  ASSERT_EQ(fx.sends().size(), 1u);
+  const auto* promote = fx.sends()[0].payload.as<EtobPromoteMsg>();
+  ASSERT_NE(promote, nullptr);
+  ASSERT_EQ(promote->seq.size(), 2u);
+  EXPECT_EQ(promote->seq[0].body, m1.body);
+  EXPECT_EQ(promote->seq[1].body, m2.body);
+
+  ctx.fd.leader = 2;
+  const EtobCommitMsg* handBack = nullptr;
+  std::size_t weight = 0;
+  for (std::uint64_t epoch = 1; epoch <= 200 && handBack == nullptr; ++epoch) {
+    fx.clear();
+    a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m2}, epoch, 0}), fx);
+    for (const OutboundMsg& out : fx.sends()) {
+      if (const auto* c = out.payload.as<EtobCommitMsg>()) {
+        EXPECT_EQ(out.to, 2u);
+        handBack = c;
+        weight = out.weight;
+      }
+    }
+  }
+  ASSERT_NE(handBack, nullptr) << "no hand-back after 200 refused promotes";
+  EXPECT_TRUE(handBack->handBack);
+  EXPECT_EQ(handBack->ids, ids);
+  EXPECT_EQ(handBack->contentFrom(), 0u);
+  ASSERT_EQ(handBack->content.size(), 2u);
+  EXPECT_EQ(handBack->content[1].body, m2.body);
+  // 2 + |ids| + Σ(1 + |body|): what a full-content commit always weighed.
+  EXPECT_EQ(weight, 2u + 2u + (1u + 1u) + (1u + 2u));
+
+  // A weaker hand-back ([m1] alone) gets the stronger commit back, again
+  // with all of its content.
+  fx.clear();
+  a.onMessage(ctx, 2, Payload::of(EtobCommitMsg{{m1.id}, {m1}, true}), fx);
+  ASSERT_EQ(fx.sends().size(), 1u);
+  const auto* answer = fx.sends()[0].payload.as<EtobCommitMsg>();
+  ASSERT_NE(answer, nullptr);
+  EXPECT_EQ(fx.sends()[0].to, 2u);
+  EXPECT_FALSE(answer->handBack);
+  EXPECT_EQ(answer->ids, ids);
+  EXPECT_EQ(answer->content.size(), 2u);
+}
+
+TEST(CommitContentBoundTest, AcksFromBeforeARebaseDoNotCount) {
+  // Direct unit check at a leader p0 of n=3. It promotes [m1, m2] (epoch
+  // 1) and commits it, then adopts a stronger conflicting commit
+  // [m1, m3, m2] — a rebase that reorders promote_i — and promotes
+  // [m1, m3, m2, m4] (epoch 2), which p0 and p1 acknowledge. p2's only
+  // acknowledgment is of epoch 1: it may never have seen m3, so the
+  // commit of epoch 2 must ship everything, whether p2's ack arrived
+  // before the rebase or after it.
+  const auto body = [](ProcessId origin, std::uint32_t seq) {
+    AppMsg m;
+    m.id = makeMsgId(origin, seq);
+    m.origin = origin;
+    m.body = {seq + 1};
+    return m;
+  };
+  const AppMsg m1 = body(1, 0), m2 = body(2, 0), m3 = body(1, 1), m4 = body(2, 1);
+  const auto commitAfterRebase = [&](bool p2AcksLate) {
+    CommitEtobAutomaton a;
+    StepContext ctx;
+    ctx.self = 0;
+    ctx.processCount = 3;
+    ctx.fd.leader = 0;
+    Effects fx;
+    a.onMessage(ctx, 1, Payload::of(EtobDeltaMsg{m1, {}}), fx);
+    a.onMessage(ctx, 2, Payload::of(EtobDeltaMsg{m2, {}}), fx);
+    a.onTimeout(ctx, fx);  // epoch 1: [m1, m2]
+    a.onMessage(ctx, 0, Payload::of(EtobAckMsg{1}), fx);
+    a.onMessage(ctx, 1, Payload::of(EtobAckMsg{1}), fx);
+    if (!p2AcksLate) a.onMessage(ctx, 2, Payload::of(EtobAckMsg{1}), fx);
+    EXPECT_EQ(a.committedPrefix(), (std::vector<MsgId>{m1.id, m2.id}));
+    a.onMessage(ctx, 1,
+                Payload::of(EtobCommitMsg{{m1.id, m3.id, m2.id}, {m1, m3, m2}, false}),
+                fx);
+    EXPECT_EQ(a.committedPrefix().size(), 3u) << "the stronger commit wins";
+    if (p2AcksLate) a.onMessage(ctx, 2, Payload::of(EtobAckMsg{1}), fx);
+    a.onMessage(ctx, 2, Payload::of(EtobDeltaMsg{m4, {}}), fx);
+    a.onTimeout(ctx, fx);  // epoch 2: [m1, m3, m2, m4]
+    fx.clear();
+    a.onMessage(ctx, 0, Payload::of(EtobAckMsg{2}), fx);
+    a.onMessage(ctx, 1, Payload::of(EtobAckMsg{2}), fx);
+    EXPECT_EQ(a.committedPrefix(), (std::vector<MsgId>{m1.id, m3.id, m2.id, m4.id}));
+    for (const OutboundMsg& out : fx.sends()) {
+      if (const auto* c = out.payload.as<EtobCommitMsg>()) return c->contentFrom();
+    }
+    ADD_FAILURE() << "epoch 2 was not committed";
+    return std::size_t{0};
+  };
+  EXPECT_EQ(commitAfterRebase(/*p2AcksLate=*/false), 0u);
+  EXPECT_EQ(commitAfterRebase(/*p2AcksLate=*/true), 0u);
 }
 
 // Sweep: commit safety across seeds and environments with a majority.

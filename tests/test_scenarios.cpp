@@ -244,7 +244,10 @@ TEST(GoldenTraceTest, LegacyLinkDisruptionReproduced) {
 // the seed-determinism suite only checks them run-against-rerun, so a
 // refactor of the Algorithm 5 core or the §7 layer that moves a single
 // delivered sequence, wire weight or schedule shows here. Recorded before
-// commit-eTOB was rebuilt as a layer over EtobAutomaton.
+// commit-eTOB was rebuilt as a layer over EtobAutomaton; the three commit
+// entries were re-pinned when commit messages stopped re-shipping content
+// every process can already name — wire weight only, as the weight-free
+// commit-path stream pins (CommitStreamPinTest) show.
 
 struct CatalogPin {
   const char* name;
@@ -277,9 +280,9 @@ constexpr CatalogPin kCatalogPins[] = {
     {"asymmetric-slow-leader",
      {0x2f73486f21c73cffULL, 0xf77d03f0d82291bcULL, 0x2323b946ca7de49bULL}},
     {"commit-stable-majority",
-     {0x3bdd9a9672c41b28ULL, 0x981653baf98947d9ULL, 0xf28230840b716c6cULL}},
+     {0x544c48f69d22c04fULL, 0xf6125827acc6a0afULL, 0x25ddad1f5847db49ULL}},
     {"commit-majority-crash",
-     {0x35cb71b0997b140dULL, 0xd801e477bbc590d2ULL, 0x80a7b6e0c158530fULL}},
+     {0x51f62c5979884b22ULL, 0x7a3a6426b09c74b9ULL, 0xbdc818532a6ab348ULL}},
     {"skewed-chaos-combo",
      {0x062bd00f54164f68ULL, 0x8574f552634d6d7fULL, 0x9265b465a2115effULL}},
     {"lossy-iid-etob",
@@ -287,7 +290,7 @@ constexpr CatalogPin kCatalogPins[] = {
     {"lossy-burst-etob",
      {0x71e50d0f5af527eaULL, 0x91ec211282795319ULL, 0x2874595a42f71afbULL}},
     {"lossy-burst-commit",
-     {0x125dce38e8373aa5ULL, 0xed9b2f7006c01dc6ULL, 0x9427334a293eee55ULL}},
+     {0x9b09e2d5053315f8ULL, 0xd07009a2179b52c6ULL, 0xdbece911988c656eULL}},
 };
 
 class CatalogPinTest : public ::testing::TestWithParam<CatalogPin> {};
