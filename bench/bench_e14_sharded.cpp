@@ -63,7 +63,7 @@ E14Run runSharded(std::size_t shards, std::uint64_t totalOps, bool zipfian,
   spec.config.timeoutPeriod = 10;
   spec.config.minDelay = 20;
   spec.config.maxDelay = 40;
-  spec.config.keepDeliverySnapshots = false;  // aggregates suffice
+  spec.config.keepDeliverySnapshots = false;  // the latest d_i suffices
   spec.omegaMode = OmegaPreStabilization::kStable;
   ShardedService svc(spec, seed);
   ShardRouter router(svc);

@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 #include "bench_util.h"
 #include "checkers/workload.h"
@@ -34,6 +36,25 @@ SimConfig latencyConfig(std::size_t n, std::uint64_t seed) {
   return cfg;
 }
 
+/// Stable-delivery time of `id` at p: the last snapshot of d_p in which
+/// `id` appeared, moved or vanished. nullopt if the final d_p lacks it.
+std::optional<Time> stableDeliveryTime(const Trace& trace, ProcessId p, MsgId id) {
+  constexpr std::size_t kAbsent = SIZE_MAX;
+  std::size_t pos = kAbsent;
+  Time changedAt = 0;
+  for (const DeliverySnapshot& snap : trace.deliverySnapshots(p)) {
+    const auto it = std::find(snap.seq.begin(), snap.seq.end(), id);
+    const std::size_t now =
+        it == snap.seq.end() ? kAbsent : static_cast<std::size_t>(it - snap.seq.begin());
+    if (now != pos) {
+      pos = now;
+      changedAt = snap.time;
+    }
+  }
+  if (pos == kAbsent) return std::nullopt;
+  return changedAt;
+}
+
 /// Runs one broadcast through a prepared cluster and returns the median
 /// hop count over all processes.
 template <typename MakeCluster>
@@ -55,10 +76,9 @@ double medianHops(std::size_t n, std::uint64_t seed, MakeCluster make) {
   });
   std::vector<double> hops;
   for (ProcessId p = 0; p < n; ++p) {
-    auto stats = sim.trace().deliveryStats(p, id);
-    if (!stats.has_value() || !stats->presentNow) continue;
-    hops.push_back(
-        static_cast<double>(stats->lastChange - at + kDelta / 2) / kDelta);
+    const std::optional<Time> stable = stableDeliveryTime(sim.trace(), p, id);
+    if (!stable.has_value()) continue;
+    hops.push_back(static_cast<double>(*stable - at + kDelta / 2) / kDelta);
   }
   if (hops.empty()) return 0;
   std::sort(hops.begin(), hops.end());

@@ -67,13 +67,13 @@ void EtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
   // length reconstructs the full sequence at every receiver. The first
   // promote has lastSentLen_ == 0 and is naturally a full snapshot; a
   // rebase forces one.
-  const std::size_t base = config_.deltaPromotes && !rebased_ ? lastSentLen_ : 0;
+  const std::size_t base = rebased_ ? 0 : lastSentLen_;
   WFD_DCHECK(base <= promote.size());
   // Every id in promote_i has its body in cg_: the engine emits only
   // known bodies, and a rebase learns its prefix's content first.
   std::vector<AppMsg> seq;
   seq.reserve(promote.size() - base);
-  std::size_t weight = config_.deltaPromotes ? 3 : 2;  // +1 word for baseLen
+  std::size_t weight = 3;  // 2 header words + baseLen
   for (std::size_t k = base; k < promote.size(); ++k) {
     seq.push_back(cg_.message(promote[k]));
     weight += 2 + seq.back().body.size();

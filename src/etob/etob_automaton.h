@@ -81,11 +81,6 @@ struct EtobConfig {
   /// If true, broadcasts EtobDeltaMsg instead of the paper's full-graph
   /// update(CG_i). Behaviour-preserving; weight-saving.
   bool deltaUpdates = false;
-  /// If true, promotes are delta-encoded against the sender's previous
-  /// promote (see EtobPromoteMsg). Content-preserving — every receiver
-  /// reconstructs the same sequences — and collapses the O(|promote_i|)
-  /// per-λ promote weight to the newly appended suffix.
-  bool deltaPromotes = true;
   /// Leader promote cadence: 1 = the paper's "on every local timeout".
   /// N > 1 = promote when the sequence changed (or was rebased), when
   /// leadership was just (re)acquired, or at least every N λ-steps (the

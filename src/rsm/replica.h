@@ -40,22 +40,19 @@ class ReplicaAutomaton final
     m.id = makeMsgId(ctx.self, nextSeq_++);
     m.origin = ctx.self;
     m.body = cmd->command;
-    Effects cfx;
-    ordering_.onInput(ctx, Payload::of(BroadcastInput{std::move(m)}), cfx);
-    drain(cfx, fx);
+    ordering_.onInput(ctx, Payload::of(BroadcastInput{std::move(m)}), fx);
+    syncDelivered(fx);
   }
 
   void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
                  Effects& fx) override {
-    Effects cfx;
-    ordering_.onMessage(ctx, from, msg, cfx);
-    drain(cfx, fx);
+    ordering_.onMessage(ctx, from, msg, fx);
+    syncDelivered(fx);
   }
 
   void onTimeout(const StepContext& ctx, Effects& fx) override {
-    Effects cfx;
-    ordering_.onTimeout(ctx, cfx);
-    drain(cfx, fx);
+    ordering_.onTimeout(ctx, fx);
+    syncDelivered(fx);
   }
 
   const Machine& machine() const { return machine_; }
@@ -65,19 +62,11 @@ class ReplicaAutomaton final
   std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
-  void drain(Effects& cfx, Effects& fx) {
-    // The replica adds no wire messages; ordering traffic passes through.
-    for (const OutboundMsg& m : cfx.sends()) {
-      if (m.to == kBroadcast) {
-        fx.broadcast(m.payload, m.weight);
-      } else {
-        fx.send(m.to, m.payload, m.weight);
-      }
-    }
-    for (const Payload& out : cfx.outputs()) fx.output(out);
-    if (!cfx.delivered().has_value()) return;
-    fx.deliverSequence(*cfx.delivered());
-    syncMachine(*cfx.delivered());
+  // The replica adds no wire messages or outputs, so the ordering layer
+  // writes the step's effects in place. fx is fresh for every step: a d_i
+  // in it is the one the ordering layer just set.
+  void syncDelivered(const Effects& fx) {
+    if (fx.delivered().has_value()) syncMachine(*fx.delivered());
   }
 
   void syncMachine(const std::vector<MsgId>& seq) {

@@ -17,7 +17,7 @@ std::uint64_t shardSeed(std::uint64_t serviceSeed, std::size_t shard) {
 ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       seed_(seed),
-      ring_(ConsistentHashRing::Config{spec_.virtualNodes, seed}) {
+      ring_(ConsistentHashRing::Config{.seed = seed}) {
   WFD_ENSURE_MSG(spec_.shards > 0, "a sharded service needs >= 1 shard");
   WFD_ENSURE_MSG(spec_.replicasPerShard > 0,
                  "a shard needs >= 1 replica");
@@ -40,11 +40,6 @@ ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
     // kvReplica clusters take writes through Client::put only — the
     // default scheduled broadcast workload is rejected there.
     cs.workload.perProcess = 0;
-    if (spec_.network) {
-      cs.network = [factory = spec_.network, s](const SimConfig& c) {
-        return factory(s, c);
-      };
-    }
     shards_.push_back(
         std::make_unique<Cluster>(std::move(cs), shardSeed(seed, s)));
     ring_.addNode(static_cast<std::uint32_t>(s));

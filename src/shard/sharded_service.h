@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,13 +50,6 @@ struct ShardedSpec {
   SimConfig config;
   Time tauOmega = 0;
   OmegaPreStabilization omegaMode = OmegaPreStabilization::kStable;
-  /// Ring points per shard (see ConsistentHashRing::Config).
-  std::size_t virtualNodes = 64;
-  /// Optional per-shard network model factory; nullptr = uniform delay
-  /// from the config on every shard.
-  std::function<std::shared_ptr<const NetworkModel>(std::size_t shard,
-                                                    const SimConfig&)>
-      network;
   /// Remove a shard from the ring when its correct replicas drop below
   /// majority. Off = keys keep routing to the dead shard (the mutation
   /// tests use this to prove the rebalance path matters).

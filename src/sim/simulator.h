@@ -62,7 +62,8 @@ struct SimConfig {
   bool fixedDelay = false;
 
   /// Keep full d_i snapshot history in the trace (tests: yes, benches:
-  /// usually no — aggregates suffice).
+  /// usually no — the latest d_i and the prefix-violation witnesses
+  /// suffice).
   bool keepDeliverySnapshots = true;
 };
 

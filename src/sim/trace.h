@@ -3,15 +3,14 @@
 //
 // For every process the trace records (a) append-only outputs (EC
 // decisions, extracted leaders, ...) and (b) the evolution of the
-// delivery-sequence output variable d_i(t). Because ETOB may rewrite
-// d_i before time τ, the trace additionally maintains per-message
-// aggregates (first appearance, last change, prefix violations) so long
-// benchmark runs don't need to keep every snapshot.
+// delivery-sequence output variable d_i(t): the latest value, one
+// snapshot per change (unless disabled), and the per-process witnesses
+// the eTOB properties are stated in — how many changes were not
+// extensions of the previous d_i, and when the last one and the last
+// change of any kind happened.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -39,19 +38,10 @@ struct DeliverySnapshot {
   std::vector<MsgId> seq;
 };
 
-/// Per-(process, message) delivery aggregates.
-struct MsgDeliveryStats {
-  Time firstSeen = 0;
-  /// Last time the message's presence or position in d_i changed. For a
-  /// message present in the final sequence this is its stable-delivery
-  /// time (it is never moved or removed afterwards).
-  Time lastChange = 0;
-  bool presentNow = false;
-};
-
 class Trace {
  public:
-  /// If keepSnapshots is false, only aggregates are maintained (benches).
+  /// If keepSnapshots is false, only the latest d_i and the witnesses
+  /// below are kept (long benchmark runs).
   explicit Trace(std::size_t processCount, bool keepSnapshots = true);
 
   std::size_t processCount() const { return outputs_.size(); }
@@ -59,9 +49,8 @@ class Trace {
   void recordOutput(ProcessId p, Time t, Payload value);
   /// Returns true iff the sequence actually changed (an unchanged d_i is
   /// not re-recorded; observers key off the same notion of "change").
-  /// A pure extension of a duplicate-free d_i costs O(Δ) hash work in the
-  /// appended suffix (plus one flat prefix compare); any other change
-  /// re-indexes both sequences.
+  /// An extension of d_i copies only the appended suffix (plus one flat
+  /// prefix compare).
   bool recordDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq);
   /// Records one sent message of the given abstract weight (words).
   void countSend(std::uint64_t weight) {
@@ -83,9 +72,6 @@ class Trace {
     return current_.at(p);
   }
 
-  /// Aggregates for a message at a process; nullopt if never delivered.
-  std::optional<MsgDeliveryStats> deliveryStats(ProcessId p, MsgId m) const;
-
   /// Number of d_i updates where the previous sequence was not a prefix
   /// of the new one (a revocation/reorder; forbidden in strong TOB, and
   /// forbidden after τ in ETOB).
@@ -105,26 +91,16 @@ class Trace {
   std::uint64_t stepsTaken(ProcessId p) const { return stepsTaken_.at(p); }
 
  private:
-  /// The general path: a rewrite, removal or reorder of d_i (or an
-  /// extension of a d_i that holds a duplicate, where every later copy
-  /// counts as moved). Updates perMsg_/repeats_ and sets current_[p].
-  void reindexDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq);
-
   bool keepSnapshots_;
   std::vector<std::vector<OutputEvent>> outputs_;
   std::vector<std::vector<DeliverySnapshot>> snapshots_;
   std::vector<std::vector<MsgId>> current_;
-  std::vector<std::unordered_map<MsgId, MsgDeliveryStats>> perMsg_;
   std::vector<std::uint64_t> prefixViolations_;
   std::vector<Time> lastViolationAt_;
   std::vector<Time> lastChangeAt_;
   std::vector<std::uint64_t> stepsTaken_;
   /// Per-process monotone record counter stamped on outputs + snapshots.
   std::vector<std::uint64_t> recordOrder_;
-  /// Per-process count of positions in current_ that repeat an earlier
-  /// id (0 unless a run breaks no-duplication). The extension fast path
-  /// needs 0: a repeated old id counts as moved on every change.
-  std::vector<std::size_t> repeats_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesDelivered_ = 0;
   std::uint64_t weightSent_ = 0;

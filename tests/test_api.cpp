@@ -502,9 +502,13 @@ TEST(FaultInjectionTest, LivePartitionDefersButNeverDrops) {
     EXPECT_TRUE(std::find(d.begin(), d.end(), id) != d.end()) << p;
   }
   // Nobody else could have seen it before the window healed.
-  const auto stats = cluster.sim().trace().deliveryStats(0, id);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GE(stats->firstSeen, 2400u);
+  const auto& snaps = cluster.sim().trace().deliverySnapshots(0);
+  const auto firstSeen =
+      std::find_if(snaps.begin(), snaps.end(), [&](const DeliverySnapshot& s) {
+        return std::find(s.seq.begin(), s.seq.end(), id) != s.seq.end();
+      });
+  ASSERT_NE(firstSeen, snaps.end());
+  EXPECT_GE(firstSeen->time, 2400u);
 }
 
 // --- Scenario adapter ---------------------------------------------------------

@@ -645,6 +645,31 @@ TEST(ShardedKvChecker, FlagsStaleRead) {
   EXPECT_EQ(r.staleReads, 1u);
 }
 
+TEST(ShardedKvChecker, StaleReadScansOnlyTheReadKeysPuts) {
+  // Neighbouring keys on one shard: a read of key k must weigh exactly
+  // k's puts — reading into key 6 or 8 would flag the early get of 7,
+  // and stopping at 7's first put would miss its one committed write.
+  const std::vector<RouterOp> ops = {
+      putOp(6, 1, 0, 5, true, 20),
+      putOp(7, 2, 0, 6, false, 0),
+      putOp(7, 3, 0, 7, false, 0),
+      putOp(7, 4, 0, 8, true, 100),
+      putOp(8, 5, 0, 9, true, 20),
+      getOp(7, 0, 50, false, 0, 0),   // 7's commit not observed yet
+      getOp(8, 0, 10, false, 0, 0),   // 8's commit not observed yet
+      getOp(9, 0, 150, false, 0, 0),  // never written: miss is fine
+      getOp(6, 0, 30, false, 0, 0),   // stale: 6 committed at t=20
+      getOp(7, 0, 150, false, 0, 0),  // stale: 7 committed at t=100
+  };
+  const ShardedKvReport r = checkShardedKvRun(ops);
+  EXPECT_EQ(r.staleReads, 2u);
+  EXPECT_EQ(r.uncommittedReads, 0u);
+  EXPECT_EQ(r.monotonicityViolations, 0u);
+  ASSERT_EQ(r.errors.size(), 2u);
+  EXPECT_NE(r.errors[0].find("get(key 6) at t=30"), std::string::npos) << r.errors[0];
+  EXPECT_NE(r.errors[1].find("get(key 7) at t=150"), std::string::npos) << r.errors[1];
+}
+
 TEST(ShardedKvChecker, SameTickCommitDoesNotForceVisibility) {
   const std::vector<RouterOp> ops = {
       putOp(7, 1, 0, 10, true, 50),

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -150,41 +149,11 @@ TEST(TraceTest, RemovalIsPrefixViolation) {
   EXPECT_EQ(t.prefixViolations(0), 1u);
 }
 
-TEST(TraceTest, DeliveryStatsTrackStability) {
-  Trace t(2);
-  t.recordDelivered(0, 1, {10});
-  t.recordDelivered(0, 5, {10, 11});
-  auto s10 = t.deliveryStats(0, 10);
-  ASSERT_TRUE(s10.has_value());
-  EXPECT_EQ(s10->firstSeen, 1u);
-  EXPECT_EQ(s10->lastChange, 1u);  // appending 11 did not move 10
-  EXPECT_TRUE(s10->presentNow);
-  // Now 10 moves (reorder) — lastChange updates.
-  t.recordDelivered(0, 9, {11, 10});
-  s10 = t.deliveryStats(0, 10);
-  EXPECT_EQ(s10->lastChange, 9u);
-  EXPECT_FALSE(t.deliveryStats(0, 999).has_value());
-}
-
-TEST(TraceTest, StatsTrackRemovalAndReappearance) {
-  Trace t(2);
-  t.recordDelivered(0, 1, {10});
-  t.recordDelivered(0, 2, {});
-  auto s = t.deliveryStats(0, 10);
-  ASSERT_TRUE(s.has_value());
-  EXPECT_FALSE(s->presentNow);
-  EXPECT_EQ(s->lastChange, 2u);
-  t.recordDelivered(0, 7, {10});
-  s = t.deliveryStats(0, 10);
-  EXPECT_TRUE(s->presentNow);
-  EXPECT_EQ(s->lastChange, 7u);
-}
-
-// The recorder before its extension fast path: every change re-indexes
-// the old and the new d_i. The differential test below holds Trace to it.
-class ReindexingRecorder {
+// A reference recorder that keeps d_i by whole-sequence assignment on
+// every change. The differential test below holds Trace to it.
+class ReferenceRecorder {
  public:
-  explicit ReindexingRecorder(bool keepSnapshots) : keepSnapshots_(keepSnapshots) {}
+  explicit ReferenceRecorder(bool keepSnapshots) : keepSnapshots_(keepSnapshots) {}
 
   bool record(Time t, const std::vector<MsgId>& seq) {
     if (seq == current_) return false;
@@ -193,49 +162,16 @@ class ReindexingRecorder {
       lastViolationAt_ = t;
     }
     lastChangeAt_ = t;
-    std::unordered_map<MsgId, std::size_t> newIndex;
-    for (std::size_t i = 0; i < seq.size(); ++i) newIndex.emplace(seq[i], i);
-    for (MsgId m : current_) {
-      if (!newIndex.contains(m)) {
-        stats_.at(m).presentNow = false;
-        stats_.at(m).lastChange = t;
-      }
-    }
-    std::unordered_map<MsgId, std::size_t> oldIndex;
-    for (std::size_t i = 0; i < current_.size(); ++i) oldIndex.emplace(current_[i], i);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      auto it = stats_.find(seq[i]);
-      if (it == stats_.end()) {
-        stats_.emplace(seq[i], MsgDeliveryStats{t, t, true});
-        continue;
-      }
-      auto oldIt = oldIndex.find(seq[i]);
-      const bool moved = oldIt == oldIndex.end() || oldIt->second != i;
-      if (!it->second.presentNow || moved) {
-        it->second.presentNow = true;
-        it->second.lastChange = t;
-      }
-    }
     current_ = seq;
     if (keepSnapshots_) snapshots_.push_back(DeliverySnapshot{t, order_++, seq});
     return true;
   }
 
-  void expectMatches(const Trace& trace, ProcessId p, MsgId idBound,
-                     std::size_t step) const {
+  void expectMatches(const Trace& trace, ProcessId p, std::size_t step) const {
     EXPECT_EQ(trace.currentDelivered(p), current_) << "step " << step;
     EXPECT_EQ(trace.prefixViolations(p), prefixViolations_) << "step " << step;
     EXPECT_EQ(trace.lastPrefixViolation(p), lastViolationAt_) << "step " << step;
     EXPECT_EQ(trace.lastDeliveryChange(p), lastChangeAt_) << "step " << step;
-    for (MsgId m = 0; m < idBound; ++m) {
-      const std::optional<MsgDeliveryStats> got = trace.deliveryStats(p, m);
-      auto want = stats_.find(m);
-      ASSERT_EQ(got.has_value(), want != stats_.end()) << "step " << step << " id " << m;
-      if (!got) continue;
-      EXPECT_EQ(got->firstSeen, want->second.firstSeen) << "step " << step << " id " << m;
-      EXPECT_EQ(got->lastChange, want->second.lastChange) << "step " << step << " id " << m;
-      EXPECT_EQ(got->presentNow, want->second.presentNow) << "step " << step << " id " << m;
-    }
     const auto& snaps = trace.deliverySnapshots(p);
     ASSERT_EQ(snaps.size(), snapshots_.size()) << "step " << step;
     for (std::size_t i = 0; i < snaps.size(); ++i) {
@@ -248,7 +184,6 @@ class ReindexingRecorder {
  private:
   bool keepSnapshots_;
   std::vector<MsgId> current_;
-  std::unordered_map<MsgId, MsgDeliveryStats> stats_;
   std::uint64_t prefixViolations_ = 0;
   Time lastViolationAt_ = 0;
   Time lastChangeAt_ = 0;
@@ -256,7 +191,7 @@ class ReindexingRecorder {
   std::uint64_t order_ = 0;
 };
 
-// One random d_i step from `cur`: mostly pure extensions (the fast path),
+// One random d_i step from `cur`: mostly pure extensions (the append path),
 // mixed with every kind of rewrite. Ids come from a small pool so removed
 // ids reappear and extensions repeat ids already present.
 std::vector<MsgId> nextDelivery(Rng& rng, std::vector<MsgId> cur, MsgId pool) {
@@ -297,13 +232,13 @@ std::vector<MsgId> nextDelivery(Rng& rng, std::vector<MsgId> cur, MsgId pool) {
   return cur;
 }
 
-TEST(TraceTest, ExtensionFastPathMatchesReindexingRecorder) {
+TEST(TraceTest, RecorderMatchesReferenceOnRandomHistories) {
   constexpr MsgId kPool = 24;
   for (bool keepSnapshots : {true, false}) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       Rng rng(seed);
       Trace trace(2, keepSnapshots);
-      std::vector<ReindexingRecorder> ref(2, ReindexingRecorder(keepSnapshots));
+      std::vector<ReferenceRecorder> ref(2, ReferenceRecorder(keepSnapshots));
       Time t = 0;
       for (std::size_t step = 0; step < 200; ++step) {
         const ProcessId p = static_cast<ProcessId>(rng.below(2));
@@ -312,7 +247,7 @@ TEST(TraceTest, ExtensionFastPathMatchesReindexingRecorder) {
             nextDelivery(rng, trace.currentDelivered(p), kPool);
         ASSERT_EQ(trace.recordDelivered(p, t, seq), ref[p].record(t, seq))
             << "seed " << seed << " step " << step;
-        for (ProcessId q = 0; q < 2; ++q) ref[q].expectMatches(trace, q, kPool, step);
+        for (ProcessId q = 0; q < 2; ++q) ref[q].expectMatches(trace, q, step);
         if (HasFailure()) return;
       }
     }
