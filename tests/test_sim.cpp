@@ -149,6 +149,42 @@ TEST(TraceTest, RemovalIsPrefixViolation) {
   EXPECT_EQ(t.prefixViolations(0), 1u);
 }
 
+TEST(TraceTest, RemovalAndReappearanceShowInSnapshots) {
+  Trace t(2);
+  EXPECT_TRUE(t.recordDelivered(0, 1, {10}));
+  EXPECT_TRUE(t.recordDelivered(0, 2, {}));    // removal: a violation
+  EXPECT_TRUE(t.recordDelivered(0, 7, {10}));  // reappearance: an extension
+  EXPECT_EQ(t.prefixViolations(0), 1u);
+  EXPECT_EQ(t.lastPrefixViolation(0), 2u);
+  EXPECT_EQ(t.lastDeliveryChange(0), 7u);
+  const auto& snaps = t.deliverySnapshots(0);
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(snaps[0].time, 1u);
+  EXPECT_EQ(snaps[0].seq, (std::vector<MsgId>{10}));
+  EXPECT_EQ(snaps[1].time, 2u);
+  EXPECT_TRUE(snaps[1].seq.empty());
+  EXPECT_EQ(snaps[2].time, 7u);
+  EXPECT_EQ(snaps[2].seq, (std::vector<MsgId>{10}));
+  EXPECT_LT(snaps[1].order, snaps[2].order);
+  EXPECT_TRUE(t.deliverySnapshots(1).empty());
+  EXPECT_EQ(t.lastDeliveryChange(1), 0u);
+}
+
+TEST(TraceTest, WitnessesWithoutSnapshots) {
+  Trace t(2, /*keepSnapshots=*/false);
+  EXPECT_TRUE(t.recordDelivered(0, 1, {10}));
+  EXPECT_TRUE(t.recordDelivered(0, 5, {10, 11}));
+  EXPECT_FALSE(t.recordDelivered(0, 6, {10, 11}));  // unchanged: no change time
+  EXPECT_EQ(t.lastDeliveryChange(0), 5u);
+  EXPECT_EQ(t.prefixViolations(0), 0u);
+  EXPECT_TRUE(t.recordDelivered(0, 9, {11, 10}));  // 10 moves: a violation
+  EXPECT_EQ(t.prefixViolations(0), 1u);
+  EXPECT_EQ(t.lastPrefixViolation(0), 9u);
+  EXPECT_EQ(t.lastDeliveryChange(0), 9u);
+  EXPECT_EQ(t.currentDelivered(0), (std::vector<MsgId>{11, 10}));
+  EXPECT_TRUE(t.deliverySnapshots(0).empty());
+}
+
 // A reference recorder that keeps d_i by whole-sequence assignment on
 // every change. The differential test below holds Trace to it.
 class ReferenceRecorder {
