@@ -59,12 +59,12 @@ struct RunStats {
 RunStats runOnce(const Curve& c, std::size_t n, std::uint64_t seed) {
   Scenario s = scaletest::scaleScenario(c.stack, n, kHorizon);
   s.workload.writers = c.writers;
-  ScenarioInstance inst = instantiateScenario(s, seed);
+  Cluster cluster(clusterSpec(s), seed);
   const auto start = std::chrono::steady_clock::now();
-  inst.sim->run();
+  cluster.runToHorizon();
   const auto end = std::chrono::steady_clock::now();
   RunStats r;
-  r.events = inst.sim->eventsProcessed();
+  r.events = cluster.sim().eventsProcessed();
   r.seconds = std::chrono::duration<double>(end - start).count();
   return r;
 }

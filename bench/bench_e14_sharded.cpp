@@ -24,8 +24,11 @@
 // replicas, Δ_t=10, delays [20,40], stable Omega) driven by a
 // ShardRouter. Issue S puts per 10-tick interval (fixed total N=1024,
 // key space 256), polling each interval; then settle until every put
-// is observed committed. Reported: aggregate committed-ops/sec of wall
-// time, and p50/p99 of (commit-observed - issue) in ticks. Latency is
+// is observed committed. The horizon is the issue span plus a settle
+// budget, so no run length outgrows it; a point whose horizon still cut
+// a put off reports an error instead of a throughput. Reported:
+// aggregate committed-ops/sec of wall time, and p50/p99 of
+// (commit-observed - issue) in ticks. Latency is
 // quantized by the 10-tick poll cadence; that floor is shared by every
 // point, so the cross-S comparison stands. BM_E14SingleShardPuts/N runs
 // the same loop at S=1, uniform keys, for N puts.
@@ -33,6 +36,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -46,9 +50,13 @@ namespace {
 constexpr std::uint64_t kTotalOps = 1024;
 constexpr std::uint64_t kKeySpace = 256;
 constexpr Time kInterval = 10;
+// Ticks past the last put for every put to be observed committed: two
+// orders of magnitude above the measured p99 commit latency (~100).
+constexpr Time kSettleTicks = 20'000;
 
 struct E14Run {
   double seconds = 0.0;
+  std::uint64_t issued = 0;
   std::uint64_t committed = 0;
   std::vector<Time> latencies;
 };
@@ -59,7 +67,7 @@ E14Run runSharded(std::size_t shards, std::uint64_t totalOps, bool zipfian,
   spec.shards = shards;
   spec.replicasPerShard = 3;
   spec.stack = AlgoStack::kCommitEtob;
-  spec.config.maxTime = 200'000;
+  spec.config.maxTime = (totalOps + shards - 1) / shards * kInterval + kSettleTicks;
   spec.config.timeoutPeriod = 10;
   spec.config.minDelay = 20;
   spec.config.maxDelay = 40;
@@ -82,7 +90,7 @@ E14Run runSharded(std::size_t shards, std::uint64_t totalOps, bool zipfian,
     router.poll();
   }
   // Settle: keep stepping until every put is observed committed (or the
-  // horizon cuts a straggler off — counted, not hidden).
+  // horizon cuts a straggler off — reported as an error, not hidden).
   while (router.pendingPuts() > 0 && svc.advanceBy(kInterval)) {
     router.poll();
   }
@@ -90,6 +98,7 @@ E14Run runSharded(std::size_t shards, std::uint64_t totalOps, bool zipfian,
 
   E14Run r;
   r.seconds = std::chrono::duration<double>(end - start).count();
+  r.issued = issued;
   for (const RouterOp& op : router.ops()) {
     if (op.kind == RouterOp::Kind::kPut && op.committed) {
       ++r.committed;
@@ -115,10 +124,17 @@ void BM_E14Point(benchmark::State& state, std::size_t shards, std::uint64_t tota
   for (auto _ : state) {
     E14Run r = runSharded(shards, totalOps, zipfian, seed++);
     benchmark::DoNotOptimize(r);
+    if (r.committed < r.issued) {
+      const std::string msg = "horizon cut the run off: " + std::to_string(r.committed) +
+                              " of " + std::to_string(r.issued) + " puts committed";
+      state.SkipWithError(msg.c_str());
+      break;
+    }
     seconds += r.seconds;
     committed += r.committed;
     latencies = std::move(r.latencies);
   }
+  if (state.error_occurred()) return;
   state.counters["ops_per_sec"] = static_cast<double>(committed) / seconds;
   state.counters["committed"] =
       static_cast<double>(committed) / static_cast<double>(state.iterations());

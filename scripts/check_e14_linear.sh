@@ -16,6 +16,9 @@
 # between the two ranges, so noise passes and a return of either
 # O(history) commit term fails.
 #
+# A point also fails when it committed fewer puts than it issued: its
+# cpu_time would then time a shorter run than the ratio assumes.
+#
 # Usage: scripts/check_e14_linear.sh [BUILD_DIR]   (default: build/release)
 set -euo pipefail
 
@@ -49,6 +52,15 @@ for b in json.load(open(path))["benchmarks"]:
     if b.get("run_type", "iteration") != "iteration":
         continue  # mean/median/stddev aggregates
     name = b.get("run_name", b["name"])
+    # A run the horizon cut off times fewer puts than its name says.
+    if b.get("error_occurred"):
+        sys.exit(f"e14 linearity gate FAILED: {name}: {b.get('error_message', 'error')}")
+    puts = int(name.rsplit("/", 1)[1])
+    if float(b.get("committed", 0)) < puts:
+        sys.exit(
+            f"e14 linearity gate FAILED: {name} committed "
+            f"{b.get('committed', 0):.0f} of {puts} puts"
+        )
     best[name] = min(best.get(name, float("inf")), float(b["cpu_time"]))
 
 try:

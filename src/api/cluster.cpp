@@ -166,8 +166,8 @@ Cluster::Cluster(ClusterSpec spec, std::uint64_t seed)
                  "workload.perProcess and drive inputs explicitly");
 
   // This construction sequence (seed override, pattern, detector,
-  // network, simulator, automata, workload) is the pre-facade
-  // instantiateScenario path verbatim — the digest-equivalence tests
+  // network, simulator, automata, workload) is the pre-facade scenario
+  // instantiation path verbatim — the digest-equivalence tests
   // rely on it drawing from the Rng in exactly the same order.
   SimConfig cfg = spec_.config;
   cfg.seed = seed;

@@ -206,7 +206,7 @@ class Client {
 /// A running replicated service: owns the Simulator plus everything the
 /// uniform client surface needs (broadcast log, id allocation, observer
 /// fan-out). Pinned to one address — create with make_unique to hand
-/// ownership around (ScenarioInstance does).
+/// ownership around (ShardedService does).
 class Cluster {
  public:
   /// Builds and wires the whole system: pattern, detector, network,

@@ -28,7 +28,8 @@ bool strongerCommit(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
 /// run of those ends within a few delays (the longest seen across the
 /// scenario catalog and the seed-1/7 fuzz streams is 36). Only a commit
 /// lost for good keeps the run going, so the hand-back costs nothing on
-/// reliable links and at most this many λ-steps of delay under loss.
+/// reliable links (HandBackTest pins zero hand-backs across the reliable
+/// commit entries) and at most this many λ-steps of delay under loss.
 constexpr std::uint64_t kRefusalsBeforeHandBack = 64;
 
 }  // namespace
@@ -55,6 +56,7 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
       refusals_ = 0;
     } else if (adopted.belowFloor && ++refusals_ == kRefusalsBeforeHandBack) {
       refusals_ = 0;
+      ++handBacks_;
       sendCommit(from, /*contentFrom=*/0, /*handBack=*/true, fx);
     }
     return;

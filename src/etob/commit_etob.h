@@ -105,6 +105,9 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
   const std::vector<MsgId>& committedPrefix() const { return committed_; }
   /// Conflicting committed prefixes observed (0 under the §7 proviso).
   std::uint64_t commitConflicts() const { return commitConflicts_; }
+  /// Commits handed back to a leader whose promotes kept being refused
+  /// (0 unless a commit was lost with its committer).
+  std::uint64_t handBacks() const { return handBacks_; }
 
  private:
   void onAck(const StepContext& ctx, ProcessId from, std::uint64_t epoch,
@@ -126,6 +129,7 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
   /// sequence the rebase may have reordered and do not count.
   std::uint64_t rebaseEpoch_ = 0;
   std::uint64_t commitConflicts_ = 0;
+  std::uint64_t handBacks_ = 0;
   /// Promotes refused by the commit guard since the last adoption or
   /// hand-back.
   std::uint64_t refusals_ = 0;

@@ -47,6 +47,16 @@ CheckerSet etobChecks(bool strong = false) {
   return c;
 }
 
+/// Committed, monotone, read-your-writes reads; per-shard commit safety
+/// and progress.
+CheckerSet shardedChecks() {
+  CheckerSet c;
+  c.shardedKv = true;
+  c.commit = true;
+  c.requireCommitProgress = true;
+  return c;
+}
+
 /// The Gilbert–Elliott burst shape shared by the lossy-burst-* entries:
 /// a ~400-tick burst roughly every other 2000-tick frame, 90% loss
 /// inside, lossless outside, quiet from `activeUntil` on. The SAME
@@ -686,6 +696,67 @@ std::vector<Scenario> buildCatalog() {
     s.workload.lwwPutBodies = true;
     s.workload.writers = 16;
     s.checks.gossipConvergence = true;
+    catalog.push_back(std::move(s));
+  }
+
+  // ---- Sharded deployments (registered last) ----
+  // S commit-eTOB replica groups behind a consistent-hash router
+  // (docs/SHARDING.md): each entry lowers through shardedSpec() and runs
+  // a keyed put/get workload; its digest is shardedRunDigest.
+  {
+    Scenario s;
+    s.name = "sharded-uniform-commit";
+    s.description =
+        "S=4 commit-eTOB shards x 3 replicas behind a consistent-hash "
+        "router, uniform keys: every read serves committed state, "
+        "per-shard monotone, read-your-writes after observed commit.";
+    s.config = baseConfig(3, 40'000);
+    s.stack = AlgoStack::kCommitEtob;
+    s.omegaMode = OmegaPreStabilization::kStable;
+    s.shards = 4;
+    s.shardWorkload.puts = 120;
+    s.shardWorkload.keys = 64;
+    s.checks = shardedChecks();
+    catalog.push_back(std::move(s));
+  }
+  {
+    Scenario s;
+    s.name = "sharded-zipf-hotkey";
+    s.description =
+        "S=4 shards under Zipfian(0.99) keys — one hot shard absorbs "
+        "most writes — with split-brain Omega until tau_Omega=400: the "
+        "service stays safe through leader disagreement and commits "
+        "once Omega stabilizes.";
+    s.config = baseConfig(3, 40'000);
+    s.stack = AlgoStack::kCommitEtob;
+    s.tauOmega = 400;
+    s.omegaMode = OmegaPreStabilization::kSplitBrain;
+    s.shards = 4;
+    s.shardWorkload.puts = 120;
+    s.shardWorkload.keys = 64;
+    s.shardWorkload.zipfian = true;
+    s.shardWorkload.theta = 0.99;
+    s.checks = shardedChecks();
+    catalog.push_back(std::move(s));
+  }
+  {
+    Scenario s;
+    s.name = "sharded-rebalance-crash";
+    s.description =
+        "S=3 shards; shard 1 loses two of three replicas mid-run "
+        "(below majority), is removed from the ring and its keys "
+        "re-home to the survivors; reads stay committed and monotone "
+        "throughout. Read replica 0 is never crashed.";
+    s.config = baseConfig(3, 40'000);
+    s.stack = AlgoStack::kCommitEtob;
+    s.omegaMode = OmegaPreStabilization::kStable;
+    s.shards = 3;
+    s.shardWorkload.puts = 120;
+    s.shardWorkload.keys = 48;
+    s.shardFaults.push_back({ShardFault::Kind::kCrash, 1, 1, 600, 0});
+    s.shardFaults.push_back({ShardFault::Kind::kCrash, 1, 2, 620, 0});
+    s.checks = shardedChecks();
+    s.checks.requireRebalance = true;
     catalog.push_back(std::move(s));
   }
 

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "api/cluster.h"
 #include "checkers/commit_checker.h"
 #include "checkers/ec_checker.h"
 #include "checkers/tob_checker.h"
@@ -73,7 +75,7 @@ Trace replayTrace(const Trace& src, const SnapMutation& mutation) {
 /// plan (quiet network, causal chains declared so the causal checker has
 /// edges to verify).
 struct HealthyRun {
-  ScenarioInstance inst;
+  std::unique_ptr<Cluster> cluster;
   FuzzPlan plan;
 
   static HealthyRun make(bool causalChain) {
@@ -89,28 +91,29 @@ struct HealthyRun {
     plan.workload.causalChain = causalChain;
     plan.maxTime = planHorizon(plan);
     EXPECT_TRUE(planAdmissibilityViolations(plan).empty());
-    ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
-    inst.sim->run();
-    return HealthyRun{std::move(inst), plan};
+    auto cluster =
+        std::make_unique<Cluster>(clusterSpec(planScenario(plan)), plan.simSeed);
+    cluster->runToHorizon();
+    return HealthyRun{std::move(cluster), plan};
   }
 
   BroadcastCheckReport check(const Trace& trace) const {
-    return checkBroadcastRun(trace, inst.log, inst.sim->failurePattern());
+    return checkBroadcastRun(trace, cluster->log(), cluster->pattern());
   }
 };
 
 TEST(BroadcastMutationTest, UnmutatedReplayPassesEverything) {
   HealthyRun run = HealthyRun::make(/*causalChain=*/true);
-  const Trace replayed = replayTrace(run.inst.sim->trace(), {});
+  const Trace replayed = replayTrace(run.cluster->sim().trace(), {});
   const BroadcastCheckReport rep = run.check(replayed);
   EXPECT_TRUE(rep.coreOk());
   EXPECT_TRUE(rep.causalOrderOk);
-  EXPECT_EQ(rep.tau, run.check(run.inst.sim->trace()).tau);
+  EXPECT_EQ(rep.tau, run.check(run.cluster->sim().trace()).tau);
 }
 
 TEST(BroadcastMutationTest, DuplicateDeliveryRejected) {
   HealthyRun run = HealthyRun::make(/*causalChain=*/false);
-  const Trace& src = run.inst.sim->trace();
+  const Trace& src = run.cluster->sim().trace();
   // Append a final snapshot at p0 with its first message delivered twice.
   std::vector<MsgId> dup = src.currentDelivered(0);
   ASSERT_FALSE(dup.empty());
@@ -125,7 +128,7 @@ TEST(BroadcastMutationTest, DuplicateDeliveryRejected) {
 
 TEST(BroadcastMutationTest, DivergingSuffixRejectedAsAgreementViolation) {
   HealthyRun run = HealthyRun::make(/*causalChain=*/false);
-  const Trace& src = run.inst.sim->trace();
+  const Trace& src = run.cluster->sim().trace();
   // p1's final sequence loses its last message: a message delivered at
   // p0 is then missing from p1 — TOB-Agreement must flag it.
   std::vector<MsgId> shorter = src.currentDelivered(1);
@@ -140,7 +143,7 @@ TEST(BroadcastMutationTest, DivergingSuffixRejectedAsAgreementViolation) {
 
 TEST(BroadcastMutationTest, UnknownMessageRejectedAsCreation) {
   HealthyRun run = HealthyRun::make(/*causalChain=*/false);
-  const Trace& src = run.inst.sim->trace();
+  const Trace& src = run.cluster->sim().trace();
   std::vector<MsgId> forged = src.currentDelivered(2);
   forged.push_back(makeMsgId(7, 99));  // never broadcast
   SnapMutation m;
@@ -152,7 +155,7 @@ TEST(BroadcastMutationTest, UnknownMessageRejectedAsCreation) {
 
 TEST(BroadcastMutationTest, CausalInversionRejected) {
   HealthyRun run = HealthyRun::make(/*causalChain=*/true);
-  const Trace& src = run.inst.sim->trace();
+  const Trace& src = run.cluster->sim().trace();
   // Swap a per-origin chain pair (origin 0: message 1 before message 0)
   // in a final appended snapshot at p0.
   std::vector<MsgId> seq = src.currentDelivered(0);
@@ -242,27 +245,27 @@ TEST(EcMutationTest, DivergingSuffixPushesAgreementWitnessOutOfRange) {
 // --- Commit oracle mutations ------------------------------------------------
 
 /// A healthy commit-etob run with indications to corrupt.
-ScenarioInstance healthyCommitRun() {
+std::unique_ptr<Cluster> healthyCommitRun() {
   const Scenario* s = findScenario("commit-stable-majority");
   EXPECT_NE(s, nullptr);
-  ScenarioInstance inst = instantiateScenario(*s, 3);
-  inst.sim->run();
-  return inst;
+  auto cluster = std::make_unique<Cluster>(clusterSpec(*s), 3);
+  cluster->runToHorizon();
+  return cluster;
 }
 
 TEST(CommitMutationTest, UnmutatedReplayIsSafe) {
-  ScenarioInstance inst = healthyCommitRun();
-  const Trace replayed = replayTrace(inst.sim->trace(), {});
+  std::unique_ptr<Cluster> run = healthyCommitRun();
+  const Trace replayed = replayTrace(run->sim().trace(), {});
   const CommitCheckReport rep =
-      checkCommitSafety(replayed, inst.sim->failurePattern());
+      checkCommitSafety(replayed, run->pattern());
   EXPECT_GT(rep.indications, 0u);
   EXPECT_EQ(rep.revokedCommits, 0u);
 }
 
 TEST(CommitMutationTest, RewrittenPrefixRejectedAsRevocation) {
-  ScenarioInstance inst = healthyCommitRun();
-  const Trace& src = inst.sim->trace();
-  const FailurePattern& fp = inst.sim->failurePattern();
+  std::unique_ptr<Cluster> run = healthyCommitRun();
+  const Trace& src = run->sim().trace();
+  const FailurePattern& fp = run->pattern();
   // Append a final snapshot at p0 whose first two entries are swapped:
   // every previously indicated prefix of length >= 2 is now revoked.
   std::vector<MsgId> seq = src.currentDelivered(0);
@@ -270,22 +273,22 @@ TEST(CommitMutationTest, RewrittenPrefixRejectedAsRevocation) {
   std::swap(seq[0], seq[1]);
   SnapMutation m;
   m.extraSnaps.emplace_back(
-      0, DeliverySnapshot{inst.sim->now() + 1, 0, std::move(seq)});
+      0, DeliverySnapshot{run->now() + 1, 0, std::move(seq)});
   const CommitCheckReport rep = checkCommitSafety(replayTrace(src, m), fp);
   EXPECT_GT(rep.revokedCommits, 0u);
 }
 
 TEST(CommitMutationTest, TruncatedSequenceAfterIndicationRejected) {
-  ScenarioInstance inst = healthyCommitRun();
-  const Trace& src = inst.sim->trace();
+  std::unique_ptr<Cluster> run = healthyCommitRun();
+  const Trace& src = run->sim().trace();
   std::vector<MsgId> seq = src.currentDelivered(1);
   ASSERT_GE(seq.size(), 1u);
   seq.resize(seq.size() / 2);
   SnapMutation m;
   m.extraSnaps.emplace_back(
-      1, DeliverySnapshot{inst.sim->now() + 1, 0, std::move(seq)});
+      1, DeliverySnapshot{run->now() + 1, 0, std::move(seq)});
   const CommitCheckReport rep =
-      checkCommitSafety(replayTrace(src, m), inst.sim->failurePattern());
+      checkCommitSafety(replayTrace(src, m), run->pattern());
   EXPECT_GT(rep.revokedCommits, 0u);
 }
 

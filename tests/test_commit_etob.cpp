@@ -359,6 +359,7 @@ TEST(CommitContentBoundTest, HandBacksAndTheirAnswersShipEverything) {
     }
   }
   ASSERT_NE(handBack, nullptr) << "no hand-back after 200 refused promotes";
+  EXPECT_EQ(a.handBacks(), 1u);
   EXPECT_TRUE(handBack->handBack);
   EXPECT_EQ(handBack->ids, ids);
   EXPECT_EQ(handBack->contentFrom(), 0u);
@@ -490,17 +491,17 @@ TEST(CommitStreamPinTest, CatalogStreamsMatchPins) {
     const Scenario* s = findScenario(pin.scenario);
     ASSERT_NE(s, nullptr) << pin.scenario;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      ScenarioInstance inst = instantiateScenario(*s, seed);
+      Cluster cluster(clusterSpec(*s), seed);
       test::StreamDigest deliveries;
       test::StreamDigest commits;
-      inst.cluster->observeDeliveries(
+      cluster.observeDeliveries(
           [&](ProcessId p, Time t, const std::vector<MsgId>& seq) {
             deliveries.fold(p, t, seq);
           });
-      inst.cluster->observeOutputs([&](ProcessId p, Time t, const Payload& o) {
+      cluster.observeOutputs([&](ProcessId p, Time t, const Payload& o) {
         if (const auto* c = o.as<CommittedPrefix>()) commits.fold(p, t, c->length);
       });
-      inst.cluster->runToHorizon();
+      cluster.runToHorizon();
       const std::string what = std::string(pin.scenario) + " seed " + std::to_string(seed);
       EXPECT_EQ(deliveries.value, pin.streams[seed - 1][0]) << what << " deliveries";
       EXPECT_EQ(commits.value, pin.streams[seed - 1][1]) << what << " commits";

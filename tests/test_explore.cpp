@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "api/cluster.h"
 #include "etob/commit_etob.h"
 #include "etob/etob_automaton.h"
 #include "explore/explorer.h"
@@ -369,9 +370,9 @@ TEST(ExploreEdgeCaseTest, CrashAtTimeZeroIsAdmissibleAndPasses) {
   EXPECT_TRUE(r.pass) << (r.failures.empty() ? "?" : r.failures.front());
 
   // The crashed-at-0 process must have taken no steps at all.
-  ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
-  inst.sim->run();
-  EXPECT_EQ(inst.sim->trace().stepsTaken(3), 0u);
+  Cluster cluster(clusterSpec(planScenario(plan)), plan.simSeed);
+  cluster.runToHorizon();
+  EXPECT_EQ(cluster.sim().trace().stepsTaken(3), 0u);
 }
 
 TEST(ExploreEdgeCaseTest, AllButOneCrashedStillConvergesForTheSurvivor) {
@@ -451,12 +452,12 @@ TEST(LossGenomeRegressionTest, CrossDepOnALostUpdateIsInadmissible) {
   // The cause: p4 declared p3's message in C(m) without ever receiving
   // it, so it stays a placeholder at every correct process and blocks
   // p4's message forever — outside the paper's C(m), not an eTOB bug.
-  ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
-  inst.sim->run();
+  Cluster cluster(clusterSpec(planScenario(plan)), plan.simSeed);
+  cluster.runToHorizon();
   const MsgId dep = makeMsgId(3, 0);
-  for (ProcessId p : inst.sim->failurePattern().correctSet()) {
+  for (ProcessId p : cluster.pattern().correctSet()) {
     const CausalityGraph& cg =
-        dynamic_cast<const EtobAutomaton&>(inst.sim->automaton(p)).causalityGraph();
+        dynamic_cast<const EtobAutomaton&>(cluster.sim().automaton(p)).causalityGraph();
     const std::vector<MsgId>& ids = cg.ids();
     EXPECT_NE(std::find(ids.begin(), ids.end(), dep), ids.end()) << "p" << p;
     EXPECT_FALSE(cg.contains(dep)) << "p" << p;
@@ -519,20 +520,20 @@ TEST(LossGenomeRegressionTest, LostCommitIsHandedBackToTheLeader) {
   for (Time p0Crash : {Time{232}, Time{465}}) {
     const FuzzPlan plan = lostCommitPlan(p0Crash);
     ASSERT_TRUE(planAdmissibilityViolations(plan).empty());
-    ScenarioInstance inst = instantiateScenario(planScenario(plan), plan.simSeed);
-    inst.sim->run();
+    Cluster cluster(clusterSpec(planScenario(plan)), plan.simSeed);
+    cluster.runToHorizon();
     const ScenarioRunResult r =
-        evaluateScenarioRun(planScenario(plan), plan.simSeed, *inst.cluster);
+        evaluateScenarioRun(planScenario(plan), plan.simSeed, cluster);
     EXPECT_TRUE(r.pass) << "p0@" << p0Crash << ": "
                         << (r.failures.empty() ? "?" : r.failures.front());
     // The converged d_i extends every committed prefix a correct process
     // holds (a process that never received a commit holds none).
-    const std::vector<ProcessId> correct = inst.sim->failurePattern().correctSet();
-    const std::vector<MsgId>& d = inst.sim->trace().currentDelivered(correct.front());
+    const std::vector<ProcessId> correct = cluster.pattern().correctSet();
+    const std::vector<MsgId>& d = cluster.sim().trace().currentDelivered(correct.front());
     bool anyCommitted = false;
     for (ProcessId p : correct) {
       const std::vector<MsgId>& c = dynamic_cast<const CommitEtobAutomaton&>(
-                                        inst.sim->automaton(p)).committedPrefix();
+                                        cluster.sim().automaton(p)).committedPrefix();
       anyCommitted |= !c.empty();
       EXPECT_TRUE(isPrefix(c, d)) << "p0@" << p0Crash << " p" << p;
     }

@@ -9,7 +9,9 @@
 #include <set>
 #include <string>
 
+#include "api/cluster.h"
 #include "checkers/workload.h"
+#include "common/ensure.h"
 #include "common/json.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
@@ -46,8 +48,12 @@ TEST(ScenarioCatalogTest, CatalogSpansMultipleNetworkModelsAndStacks) {
   std::set<std::string> networks;
   std::set<std::string> stacks;
   for (const Scenario& s : scenarioCatalog()) {
-    ScenarioInstance inst = instantiateScenario(s, 1);
-    networks.insert(inst.sim->network().name());
+    // Single-cluster entries only: a sharded entry has no one network to
+    // name. Its runs are covered by CatalogSweepTest, SeedDeterminismTest
+    // and tests/test_sharded_kv.cpp.
+    if (s.shards > 0) continue;
+    Cluster cluster(clusterSpec(s), 1);
+    networks.insert(cluster.sim().network().name());
     stacks.insert(algoStackName(s.stack));
   }
   // Uniform + at least asymmetric, partition, chaos and clock-skew shapes.
@@ -320,6 +326,9 @@ TEST(CatalogPinCoverageTest, PinsEveryEtobStackEntry) {
   std::set<std::string> expected;
   for (const Scenario& s : scenarioCatalog()) {
     if (isLargeClusterScenario(s)) continue;
+    // Single-cluster entries only: the sharded entries' digests are
+    // pinned in kPinnedDigests (tests/test_sharded_kv.cpp).
+    if (s.shards > 0) continue;
     if (s.stack == AlgoStack::kEtob || s.stack == AlgoStack::kCommitEtob) {
       expected.insert(s.name);
     }
@@ -366,10 +375,50 @@ TEST(ScenarioRunTest, InstantiateHonoursConfigOverrides) {
   ASSERT_NE(s, nullptr);
   SimConfig cfg = s->config;
   cfg.maxTime = 500;
-  ScenarioInstance inst = instantiateScenario(*s, 9, cfg);
-  inst.sim->run();
-  EXPECT_LE(inst.sim->now(), 500u);
-  EXPECT_EQ(inst.sim->config().seed, 9u);
+  Cluster cluster(clusterSpec(*s, cfg), 9);
+  cluster.runToHorizon();
+  EXPECT_LE(cluster.now(), 500u);
+  EXPECT_EQ(cluster.sim().config().seed, 9u);
+}
+
+// --- Sharded entries: lowering and the sharded result line ------------------
+
+TEST(ShardedLoweringTest, EachEntryLowersOneWayOnly) {
+  for (const Scenario& s : scenarioCatalog()) {
+    if (s.shards > 0) {
+      EXPECT_THROW(clusterSpec(s), InvariantError) << s.name;
+      const ShardedSpec spec = shardedSpec(s);
+      EXPECT_EQ(spec.shards, s.shards);
+      EXPECT_EQ(spec.replicasPerShard, s.config.processCount);
+      EXPECT_EQ(spec.stack, s.stack);
+      EXPECT_EQ(spec.config.maxTime, s.config.maxTime);
+      EXPECT_EQ(spec.tauOmega, s.tauOmega);
+      EXPECT_EQ(spec.omegaMode, s.omegaMode);
+    } else {
+      EXPECT_THROW(shardedSpec(s), InvariantError) << s.name;
+    }
+  }
+}
+
+TEST(ShardedLoweringTest, ShardedResultLineHasTheShardedSchema) {
+  // The router counters replace the single-cluster message counters, in
+  // the documented key order (docs/SCENARIOS.md).
+  ScenarioRunResult r;
+  r.scenario = "sharded";
+  r.stack = "commit-etob";
+  r.shards = 4;
+  r.committedPuts = 7;
+  const std::string line = toJsonLine(r);
+  EXPECT_EQ(line.rfind("{\"scenario\":\"sharded\",\"seed\":0,\"pass\":false,"
+                       "\"stack\":\"commit-etob\",\"shards\":4,\"end_time\":0,"
+                       "\"puts\":0,\"committed_puts\":7,",
+                       0),
+            0u)
+      << line;
+  auto parsed = Json::parse(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  EXPECT_EQ(parsed->find("network"), nullptr);
+  EXPECT_EQ(parsed->find("events"), nullptr);
 }
 
 }  // namespace

@@ -8,18 +8,19 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/ensure.h"
 #include "common/hash.h"
 #include "etob/commit_etob.h"
 #include "helpers.h"
+#include "rsm/replica.h"
+#include "rsm/state_machines.h"
 #include "scenario/scenario.h"
 #include "scenario/trace_digest.h"
 #include "shard/shard_router.h"
-#include "shard/shard_scenarios.h"
 #include "shard/sharded_kv_checker.h"
 #include "shard/sharded_service.h"
 #include "shard/zipf.h"
@@ -29,7 +30,16 @@ namespace {
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-// Indexed [catalog entry, registration order][seed in kSeeds]. Same
+// The catalog's sharded entries, in registration order.
+std::vector<const Scenario*> shardedEntries() {
+  std::vector<const Scenario*> out;
+  for (const Scenario& s : scenarioCatalog()) {
+    if (s.shards > 0) out.push_back(&s);
+  }
+  return out;
+}
+
+// Indexed [sharded entry, registration order][seed in kSeeds]. Same
 // caveat as every pin: portable per standard library (the schedules
 // draw from std::uniform_int_distribution, the Zipfian CDF from libm).
 // A change here is a behavior change in the router, the fold, a shard
@@ -50,44 +60,43 @@ constexpr std::uint64_t kPinnedDigests[3][3] = {
 };
 
 TEST(ShardedScenarios, CatalogEntriesPassAndMatchPinnedDigests) {
-  const auto& catalog = shardScenarioCatalog();
-  ASSERT_EQ(catalog.size(), 3u);
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
+  const std::vector<const Scenario*> entries = shardedEntries();
+  ASSERT_EQ(entries.size(), 3u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     for (std::size_t k = 0; k < 3; ++k) {
-      const ShardScenarioRunResult r = runShardScenario(catalog[i], kSeeds[k]);
-      EXPECT_TRUE(r.pass) << catalog[i].name << " seed " << kSeeds[k] << ": "
+      const ScenarioRunResult r = runScenario(*entries[i], kSeeds[k]);
+      EXPECT_TRUE(r.pass) << entries[i]->name << " seed " << kSeeds[k] << ": "
                           << (r.failures.empty() ? "" : r.failures[0]);
       EXPECT_EQ(r.digest, kPinnedDigests[i][k])
-          << catalog[i].name << " seed " << kSeeds[k];
-      EXPECT_GT(r.committedPuts, 0u) << catalog[i].name;
+          << entries[i]->name << " seed " << kSeeds[k];
+      EXPECT_GT(r.committedPuts, 0u) << entries[i]->name;
     }
   }
 }
 
 TEST(ShardedScenarios, SeedDeterminism) {
-  const ShardScenario* s = findShardScenario("sharded-uniform-commit");
+  const Scenario* s = findScenario("sharded-uniform-commit");
   ASSERT_NE(s, nullptr);
-  const ShardScenarioRunResult a = runShardScenario(*s, 11);
-  const ShardScenarioRunResult b = runShardScenario(*s, 11);
+  const ScenarioRunResult a = runScenario(*s, 11);
+  const ScenarioRunResult b = runScenario(*s, 11);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.committedPuts, b.committedPuts);
-  const ShardScenarioRunResult c = runShardScenario(*s, 12);
+  const ScenarioRunResult c = runScenario(*s, 12);
   EXPECT_NE(a.digest, c.digest);
 }
 
-TEST(ShardedScenarios, NamesAreUniqueAcrossBothCatalogs) {
-  std::set<std::string> names;
-  for (const Scenario& s : scenarioCatalog()) {
-    EXPECT_TRUE(names.insert(s.name).second) << s.name;
-  }
-  for (const ShardScenario& s : shardScenarioCatalog()) {
-    EXPECT_TRUE(names.insert(s.name).second) << s.name;
-    // A sharded name must not shadow a flat entry (the CLI resolves
-    // flat-first).
-    EXPECT_EQ(findScenario(s.name), nullptr) << s.name;
-    EXPECT_EQ(findShardScenario(s.name), &s);
-  }
-  EXPECT_EQ(findShardScenario("no-such-scenario"), nullptr);
+TEST(ShardedScenarios, FaultPastTheHorizonIsRejected) {
+  // The runner injects faults as their times pass and stops at the
+  // horizon, so a later fault would silently never happen and the entry
+  // would pass without it.
+  const Scenario* base = findScenario("sharded-rebalance-crash");
+  ASSERT_NE(base, nullptr);
+  Scenario late = *base;
+  late.config.maxTime = 2'000;
+  late.shardFaults.back().at = 2'001;
+  EXPECT_THROW(runScenario(late, 1), InvariantError);
+  late.shardFaults.back().at = 2'000;  // the last injectable tick
+  EXPECT_TRUE(runScenario(late, 1).pass);
 }
 
 // --- Serving path: delta gossip vs the paper-literal full CG ---------------
@@ -110,12 +119,13 @@ struct ServingRun {
   std::vector<std::uint64_t> weightSent;
   Time end = 0;
   std::uint64_t committed = 0;  // committed prefix length, summed over shards
+  std::uint64_t handBacks = 0;  // summed over every replica of every shard
 };
 
-// Drives a deployment's write path the way runShardScenario does — puts
-// on the workload cadence to the ring owner's read replica, faults as
-// their times pass — and records what each shard's cluster was asked to
-// do. Reads are left out: they never touch a shard's simulation.
+// Drives a deployment's write path the way runScenario drives a sharded
+// entry — puts on the workload cadence to the ring owner's read replica,
+// faults as their times pass — and records what each shard's cluster was
+// asked to do. Reads are left out: they never touch a shard's simulation.
 ServingRun driveServingPath(const ShardedSpec& spec, const ShardWorkload& w,
                             std::vector<ShardFault> faults, std::uint64_t seed) {
   ShardedService svc(spec, seed);
@@ -165,9 +175,20 @@ ServingRun driveServingPath(const ShardedSpec& spec, const ShardWorkload& w,
     run.specs.push_back(svc.shard(s).spec());
     run.seeds.push_back(svc.shard(s).seed());
     run.weightSent.push_back(svc.shard(s).sim().trace().weightSent());
+    for (ProcessId p = 0; p < spec.replicasPerShard; ++p) {
+      run.handBacks +=
+          dynamic_cast<const ReplicaAutomaton<CommitEtobAutomaton, KvStore>&>(
+              svc.shard(s).sim().automaton(p))
+              .ordering()
+              .handBacks();
+    }
   }
   run.committed = svc.stats().committedLen;
   return run;
+}
+
+ServingRun driveServingPath(const Scenario& s, std::uint64_t seed) {
+  return driveServingPath(shardedSpec(s), s.shardWorkload, s.shardFaults, seed);
 }
 
 // What a shard's clients and checkers can observe: every d_i change and
@@ -251,10 +272,10 @@ std::uint64_t expectDeltaMatchesFullCg(const ServingRun& run, const std::string&
 }
 
 TEST(ShardedServingPath, DeltaShardsMatchFullCgOnTheCatalog) {
-  for (const ShardScenario& sc : shardScenarioCatalog()) {
+  for (const Scenario* sc : shardedEntries()) {
     for (std::uint64_t seed : kSeeds) {
-      const ServingRun run = driveServingPath(sc.spec, sc.workload, sc.faults, seed);
-      expectDeltaMatchesFullCg(run, sc.name + " seed " + std::to_string(seed));
+      expectDeltaMatchesFullCg(driveServingPath(*sc, seed),
+                               sc->name + " seed " + std::to_string(seed));
     }
   }
 }
@@ -332,13 +353,12 @@ constexpr std::uint64_t kLongRunStreamPins[2] = {0x27442b9f81ac6034ULL,
                                                   0x6de10473bbc78211ULL};
 
 TEST(CommitStreamPinTest, ShardedStreamsMatchPins) {
-  const auto& catalog = shardScenarioCatalog();
-  ASSERT_EQ(catalog.size(), 3u);
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
+  const std::vector<const Scenario*> entries = shardedEntries();
+  ASSERT_EQ(entries.size(), 3u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     for (std::size_t k = 0; k < 3; ++k) {
-      const ShardScenario& sc = catalog[i];
-      const auto [deliveries, commits] =
-          streamDigests(driveServingPath(sc.spec, sc.workload, sc.faults, kSeeds[k]));
+      const Scenario& sc = *entries[i];
+      const auto [deliveries, commits] = streamDigests(driveServingPath(sc, kSeeds[k]));
       EXPECT_EQ(deliveries, kStreamPins[i][k][0]) << sc.name << " seed " << kSeeds[k];
       EXPECT_EQ(commits, kStreamPins[i][k][1]) << sc.name << " seed " << kSeeds[k];
     }
@@ -352,6 +372,37 @@ TEST(CommitStreamPinTest, ShardedStreamsMatchPins) {
   const auto [deliveries, commits] = streamDigests(run);
   EXPECT_EQ(deliveries, kLongRunStreamPins[0]) << "1 shard x 1024 puts";
   EXPECT_EQ(commits, kLongRunStreamPins[1]) << "1 shard x 1024 puts";
+}
+
+// --- Commit hand-backs on reliable links -----------------------------------
+
+// A follower hands its commit back to the leader only after 64 refused
+// promotes in a row, which on reliable links should never happen: a
+// refusal run there ends once the leader's own copy of the commit
+// arrives. Every commit entry on reliable links, single-cluster and
+// sharded, must therefore send none — so the hand-back adds no message
+// there. (The counter is live: CommitContentBoundTest's hand-back unit
+// test sees it count.)
+TEST(HandBackTest, ReliableCommitEntriesSendNone) {
+  for (const char* name : {"commit-stable-majority", "commit-majority-crash"}) {
+    const Scenario* s = findScenario(name);
+    ASSERT_NE(s, nullptr) << name;
+    for (std::uint64_t seed : kSeeds) {
+      Cluster cluster(clusterSpec(*s), seed);
+      cluster.runToHorizon();
+      std::uint64_t handBacks = 0;
+      for (ProcessId p = 0; p < cluster.processCount(); ++p) {
+        handBacks += dynamic_cast<const CommitEtobAutomaton&>(cluster.sim().automaton(p))
+                         .handBacks();
+      }
+      EXPECT_EQ(handBacks, 0u) << name << " seed " << seed;
+    }
+  }
+  for (const Scenario* s : shardedEntries()) {
+    for (std::uint64_t seed : kSeeds) {
+      EXPECT_EQ(driveServingPath(*s, seed).handBacks, 0u) << s->name << " seed " << seed;
+    }
+  }
 }
 
 // --- Cross-shard independence ----------------------------------------------
@@ -504,11 +555,11 @@ TEST(ShardedKv, RebalanceMutationKeepsDeadShardWithoutTheKnob) {
 
   // Scenario-level: the catalog's rebalance entry fails its
   // requireRebalance clause under the same mutation.
-  const ShardScenario* base = findShardScenario("sharded-rebalance-crash");
+  const Scenario* base = findScenario("sharded-rebalance-crash");
   ASSERT_NE(base, nullptr);
-  ShardScenario mutant = *base;
-  mutant.spec.rebalanceOnQuorumLoss = false;
-  const ShardScenarioRunResult r = runShardScenario(mutant, 1);
+  ShardedSpec mutant = shardedSpec(*base);
+  mutant.rebalanceOnQuorumLoss = false;
+  const ScenarioRunResult r = runScenario(*base, 1, mutant);
   EXPECT_FALSE(r.pass);
   bool sawRebalanceFailure = false;
   for (const std::string& f : r.failures) {

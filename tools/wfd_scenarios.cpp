@@ -11,15 +11,13 @@
 // selection the other flags made — including --list/--describe — to the
 // catalog entries of one protocol stack.
 //
-// The CLI serves the UNION of two catalogs under one namespace: the flat
-// entries (scenario/catalog.cpp, one cluster each) and the sharded
-// entries (shard/shard_scenarios.cpp, a ring of clusters behind a
-// router). Flat entries list first, sharded after, and a name resolves
-// in the same order; names are unique across the union (pinned by
-// tests/test_sharded_kv.cpp).
+// The catalog (scenario/catalog.cpp) holds single-cluster and sharded
+// entries alike; --describe shows a sharded entry's shape as
+// "S=<shards> x n=<replicas>".
 //
 // Every run prints exactly one JSON line on stdout (schema: the fields of
-// ScenarioRunResult / ShardScenarioRunResult; see docs/SCENARIOS.md).
+// ScenarioRunResult, with its own shape for a sharded run; see
+// docs/SCENARIOS.md).
 // Exit status is 0 iff every executed run passed its scenario's checker
 // set — which is what makes each catalog entry a regression test the CI
 // smoke jobs can sweep.
@@ -30,7 +28,6 @@
 #include <vector>
 
 #include "scenario/scenario.h"
-#include "shard/shard_scenarios.h"
 
 namespace {
 
@@ -106,37 +103,30 @@ int main(int argc, char** argv) {
     }
     filterByStack = true;
   }
-  const auto flatSelected = [&](const wfd::Scenario& s) {
+  const auto selected = [&](const wfd::Scenario& s) {
     return !filterByStack || s.stack == stackFilter;
-  };
-  const auto shardSelected = [&](const wfd::ShardScenario& s) {
-    return !filterByStack || s.spec.stack == stackFilter;
   };
 
   const auto& catalog = wfd::scenarioCatalog();
-  const auto& shardCatalog = wfd::shardScenarioCatalog();
 
   if (list) {
     for (const wfd::Scenario& s : catalog) {
-      if (flatSelected(s)) std::printf("%s\n", s.name.c_str());
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (shardSelected(s)) std::printf("%s\n", s.name.c_str());
+      if (selected(s)) std::printf("%s\n", s.name.c_str());
     }
     return 0;
   }
   if (describe) {
     for (const wfd::Scenario& s : catalog) {
-      if (!flatSelected(s)) continue;
-      std::printf("%-24s [%s, n=%zu] %s\n", s.name.c_str(),
-                  wfd::algoStackName(s.stack), s.config.processCount,
-                  s.description.c_str());
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (!shardSelected(s)) continue;
-      std::printf("%-24s [%s, S=%zu x n=%zu] %s\n", s.name.c_str(),
-                  wfd::algoStackName(s.spec.stack), s.spec.shards,
-                  s.spec.replicasPerShard, s.description.c_str());
+      if (!selected(s)) continue;
+      if (s.shards > 0) {
+        std::printf("%-24s [%s, S=%zu x n=%zu] %s\n", s.name.c_str(),
+                    wfd::algoStackName(s.stack), s.shards,
+                    s.config.processCount, s.description.c_str());
+      } else {
+        std::printf("%-24s [%s, n=%zu] %s\n", s.name.c_str(),
+                    wfd::algoStackName(s.stack), s.config.processCount,
+                    s.description.c_str());
+      }
     }
     return 0;
   }
@@ -149,29 +139,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<const wfd::Scenario*> selected;
-  std::vector<const wfd::ShardScenario*> selectedShard;
+  std::vector<const wfd::Scenario*> runs;
   if (scenarioArg == "all") {
     for (const wfd::Scenario& s : catalog) {
-      if (flatSelected(s)) selected.push_back(&s);
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (shardSelected(s)) selectedShard.push_back(&s);
+      if (selected(s)) runs.push_back(&s);
     }
   } else if (const wfd::Scenario* s = wfd::findScenario(scenarioArg)) {
-    if (!flatSelected(*s)) {
+    if (!selected(*s)) {
       std::fprintf(stderr, "scenario '%s' is not a %s scenario\n",
                    scenarioArg.c_str(), wfd::algoStackName(stackFilter));
       return 2;
     }
-    selected.push_back(s);
-  } else if (const wfd::ShardScenario* sh = wfd::findShardScenario(scenarioArg)) {
-    if (!shardSelected(*sh)) {
-      std::fprintf(stderr, "scenario '%s' is not a %s scenario\n",
-                   scenarioArg.c_str(), wfd::algoStackName(stackFilter));
-      return 2;
-    }
-    selectedShard.push_back(sh);
+    runs.push_back(s);
   } else {
     std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
                  scenarioArg.c_str());
@@ -179,18 +158,9 @@ int main(int argc, char** argv) {
   }
 
   bool allPassed = true;
-  for (const wfd::Scenario* s : selected) {
+  for (const wfd::Scenario* s : runs) {
     for (std::uint64_t k = 0; k < seedCount; ++k) {
       const wfd::ScenarioRunResult r = wfd::runScenario(*s, firstSeed + k);
-      std::printf("%s\n", wfd::toJsonLine(r).c_str());
-      std::fflush(stdout);
-      allPassed = allPassed && r.pass;
-    }
-  }
-  for (const wfd::ShardScenario* s : selectedShard) {
-    for (std::uint64_t k = 0; k < seedCount; ++k) {
-      const wfd::ShardScenarioRunResult r =
-          wfd::runShardScenario(*s, firstSeed + k);
       std::printf("%s\n", wfd::toJsonLine(r).c_str());
       std::fflush(stdout);
       allPassed = allPassed && r.pass;
