@@ -155,8 +155,9 @@ class Client {
 
   /// Longest prefix of d_i this process learned is committed (§7).
   /// Empty on every stack without commit semantics — exactly the stacks
-  /// where capabilities().committedPrefix is false.
-  std::vector<MsgId> committedPrefix() const;
+  /// where capabilities().committedPrefix is false. The reference is
+  /// invalidated by advancing the cluster.
+  const std::vector<MsgId>& committedPrefix() const;
 
   /// Replicated KV read; nullopt when absent or unsupported.
   std::optional<std::uint64_t> kvGet(std::uint64_t key) const;

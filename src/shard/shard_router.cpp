@@ -36,8 +36,8 @@ std::optional<std::uint64_t> ShardRouter::get(std::uint64_t key) {
   const auto it = f.kv.find(key);
   if (it != f.kv.end()) {
     op.hasValue = true;
-    op.value = it->second;
-    op.version = f.versions.at(key);
+    op.value = it->second.value;
+    op.version = it->second.version;
   }
   ops_.push_back(op);
   return op.hasValue ? std::optional<std::uint64_t>(op.value) : std::nullopt;
@@ -51,34 +51,51 @@ void ShardRouter::foldShard(std::size_t s) {
   // A shard with no correct replica left has nothing readable; its last
   // fold keeps being served (stale reads are the honest answer there).
   if (service_->correctReplicasOf(s) == 0) return;
-  Client c = service_->shard(s).client(service_->readReplicaOf(s));
-  std::vector<MsgId> prefix = c.committedPrefix();
-  if (!c.capabilities().committedPrefix) {
-    // Stacks without §7 commit indications: fold the (revisable)
-    // delivery sequence and refold on rewrites.
-    prefix = c.delivered();
-  }
   FoldState& f = folds_[s];
-  // A prefix of what is already folded is a lagging replica (e.g. the
-  // read replica just switched after a crash), not a rewrite: keep the
-  // fold, so reads stay monotone. Only a true conflict refolds.
-  if (isPrefix(prefix, f.folded)) return;
-  std::size_t from = f.folded.size();
-  if (!isPrefix(f.folded, prefix)) {
-    f.kv.clear();
-    f.versions.clear();
-    ++refolds_;
-    from = 0;
+  const ProcessId reader = service_->readReplicaOf(s);
+  Cluster& shard = service_->shard(s);
+  const std::uint64_t events = shard.sim().eventsProcessed();
+  Client c = shard.client(reader);
+  // Stacks without §7 commit indications fold the (revisable) delivery
+  // sequence and refold on rewrites.
+  const auto source = [&c]() -> const std::vector<MsgId>& {
+    return c.capabilities().committedPrefix ? c.committedPrefix()
+                                            : c.delivered();
+  };
+  // Every automaton step happens inside Simulator::processOne, after it
+  // counts the event, and crashReplica moves readReplicaOf eagerly. So a
+  // shard whose read replica and event count are the ones of the last
+  // fold has nothing new, and a full pass would change nothing.
+  if (reader == f.reader && events == f.events) {
+    WFD_DCHECK(source().size() == f.seen);
+    return;
   }
-  for (std::size_t i = from; i < prefix.size(); ++i) {
+  const std::vector<MsgId>& prefix = source();
+  // The same replica's sequence losing ids is a rewrite: eTOB revokes
+  // deliveries (a committed prefix never shrinks). A NEW read replica
+  // whose prefix is a prefix of the fold is only lagging (the read
+  // replica switched after a crash): keep the fold, so reads stay
+  // monotone. Any other conflict refolds.
+  const bool shrank = reader == f.reader && prefix.size() < f.seen;
+  f.reader = reader;
+  f.events = events;
+  f.seen = prefix.size();
+  if (!shrank && isPrefix(prefix, f.folded)) return;
+  if (shrank || !isPrefix(f.folded, prefix)) {
+    f.folded.clear();
+    f.kv.clear();
+    ++refolds_;
+  }
+  for (std::size_t i = f.folded.size(); i < prefix.size(); ++i) {
     const std::vector<std::uint64_t>* body = c.findBody(prefix[i]);
     WFD_ENSURE_MSG(body != nullptr, "committed command with unknown content");
     if (body->size() == 3 &&
         (*body)[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
       const std::uint64_t key = (*body)[1];
       const std::uint64_t value = (*body)[2];
-      f.kv[key] = value;
-      ++f.versions[key];
+      Entry& e = f.kv[key];
+      e.value = value;
+      ++e.version;
       // Resolve the earliest pending put matching this command. The
       // scenario workloads write unique (key, value) pairs, so the
       // match is unambiguous there; with duplicates, first-pending is
@@ -95,7 +112,8 @@ void ShardRouter::foldShard(std::size_t s) {
       }
     }
   }
-  f.folded = std::move(prefix);
+  f.folded.insert(f.folded.end(), prefix.begin() + f.folded.size(),
+                  prefix.end());
 }
 
 std::size_t ShardRouter::pendingPuts() const { return pending_.size(); }

@@ -3,19 +3,24 @@
 // from a FOLD of the shard's §7 committed prefix.
 //
 // Write path: put(key, v) routes the command to the owner shard's read
-// replica and remembers the (key, v) pair as pending. Read path: every
-// poll() fetches each shard's committed prefix, decodes the NEW suffix
-// of put commands (Client::findBody) into a per-shard key→value map,
-// and resolves pending writes it sees commit. A committed prefix can
-// only extend under the §7 proviso, so the fold is incremental; a
-// prefix SHORTER than the fold (a lagging replica after a read-replica
-// switch-over) keeps the fold. Only a true conflict — on the
-// delivered()-fallback stacks (no commit indications) a rewrite —
-// triggers a full refold, counted in refolds(). Reads therefore return only
-// COMMITTED state — the read-your-writes guarantee the sharded_kv
-// checker verifies is "my write is visible once the router saw it
-// commit", per shard, the strongest a client can ask of an eventually
-// consistent store without blocking.
+// replica and remembers the (key, v) pair as pending. Read path: poll()
+// folds each shard that changed since its last fold — its read replica
+// moved or its simulator processed an event. An automaton changes state
+// only in its own steps, so an unchanged shard has nothing new and is
+// skipped in O(1). A fold reads the read replica's committed prefix in
+// place, decodes the NEW suffix of put commands (Client::findBody) into
+// a per-shard key→(value, version) map, and resolves pending writes it
+// sees commit. A committed prefix can only extend under the §7 proviso,
+// so the fold is incremental; a prefix SHORTER than the fold from a new
+// read replica (a lagging replica after a switch-over) keeps the fold.
+// Only a rewrite — a conflicting sequence, or the same read replica's
+// sequence getting shorter; on the delivered()-fallback stacks (no
+// commit indications) eTOB does both — triggers a full refold, counted
+// in refolds(). Reads therefore return only COMMITTED state — the
+// read-your-writes guarantee the sharded_kv checker verifies is "my
+// write is visible once the router saw it commit", per shard, the
+// strongest a client can ask of an eventually consistent store without
+// blocking.
 //
 // Every op is appended to an op log (RouterOp) carrying the routing
 // decision, the observed value, and the per-(shard, key) fold version —
@@ -79,7 +84,7 @@ class ShardRouter {
 
   const std::vector<RouterOp>& ops() const { return ops_; }
   /// Full refolds forced by a committed-prefix rewrite (always 0 on the
-  /// commit-eTOB stack; the delivered() fallback may reorder).
+  /// commit-eTOB stack; the delivered() fallback may reorder or shorten).
   std::uint64_t refolds() const { return refolds_; }
   /// Put ops still unresolved (never observed committed).
   std::size_t pendingPuts() const;
@@ -87,13 +92,23 @@ class ShardRouter {
   std::size_t foldedLen(std::size_t s) const;
 
  private:
+  struct Entry {
+    std::uint64_t value = 0;
+    /// Put commands folded for the key — the version a get() reports.
+    std::uint64_t version = 0;
+  };
   struct FoldState {
     /// The committed ids already folded (prefix-compare detects
     /// rewrites).
     std::vector<MsgId> folded;
-    std::unordered_map<std::uint64_t, std::uint64_t> kv;
-    /// Put commands folded per key — the version a get() reports.
-    std::unordered_map<std::uint64_t, std::uint64_t> versions;
+    std::unordered_map<std::uint64_t, Entry> kv;
+    /// The read replica and its shard's Simulator::eventsProcessed() at
+    /// the last fold: while both are unchanged nothing can be new.
+    ProcessId reader = kNoProcess;
+    std::uint64_t events = 0;
+    /// Length of the reader's sequence at the last fold (shorter now =
+    /// the reader's own sequence was rewritten).
+    std::size_t seen = 0;
   };
 
   void foldShard(std::size_t s);

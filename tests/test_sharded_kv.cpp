@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -534,6 +535,109 @@ TEST(ShardedKv, ReadReplicaCrashKeepsReadsMonotone) {
         << (report.errors.empty() ? "" : report.errors[0]);
     EXPECT_EQ(router.refolds(), 0u) << "seed " << seed;
     EXPECT_GT(report.committedPuts, 0u) << "seed " << seed;
+    // A fresh router folds only the new read replica's prefix, which may
+    // still lag what the long-lived router folded from replica 0.
+    ShardRouter fresh(svc);
+    fresh.poll();
+    EXPECT_LE(fresh.foldedLen(0), router.foldedLen(0)) << "seed " << seed;
+  }
+}
+
+TEST(ShardedKv, PollFoldsAShardSteppedOnItsOwn) {
+  // poll() skips a shard whose read replica and event count match its
+  // last fold. Stepping ONE shard directly (as a driver that times each
+  // shard's advance does) leaves the service clock where it was, so a
+  // skip keyed on the service clock would miss these commits.
+  ShardedService svc(smallSpec(4), 9);
+  ShardRouter router(svc);
+  const std::size_t s = 2;
+  std::uint64_t key = 0;
+  while (svc.ownerOf(key) != s) ++key;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    svc.advanceBy(10);
+    router.put(key, i);
+    router.poll();
+  }
+  const std::size_t before = router.foldedLen(s);
+  svc.shard(s).advanceTo(svc.now() + 2000);
+  const std::vector<MsgId>& prefix =
+      svc.shard(s).client(svc.readReplicaOf(s)).committedPrefix();
+  ASSERT_GT(prefix.size(), before) << "the shard committed nothing new";
+
+  EXPECT_EQ(router.get(key), std::optional<std::uint64_t>(8));
+  EXPECT_EQ(router.foldedLen(s), prefix.size());
+  EXPECT_EQ(router.ops().back().version, 8u);
+  EXPECT_EQ(router.pendingPuts(), 0u);
+
+  // A router that never skipped anything agrees on every shard.
+  svc.advanceBy(2000);
+  router.poll();
+  ShardRouter fresh(svc);
+  fresh.poll();
+  for (std::size_t t = 0; t < svc.shardCount(); ++t) {
+    EXPECT_EQ(fresh.foldedLen(t), router.foldedLen(t)) << "shard " << t;
+  }
+  const ShardedKvReport report = checkShardedKvRun(router.ops());
+  EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
+}
+
+TEST(ShardedKv, DeliveredFallbackRefoldsMatchAFreshFold) {
+  // On plain eTOB there are no commit indications, so the router folds
+  // the read replica's delivered() — which Omega's pre-stabilisation
+  // leaders rewrite when other replicas also take writes. Each rewrite
+  // refolds; after every get() the served (value, version) of every key
+  // must equal a from-scratch fold of the owner's delivered(). The
+  // sharded_kv checker is left out: it rejects reads of the values the
+  // side writers below put without the router.
+  constexpr std::uint64_t kKeys = 8;
+  for (const OmegaPreStabilization mode :
+       {OmegaPreStabilization::kSplitBrain, OmegaPreStabilization::kRotating}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      ShardedSpec spec = smallSpec(2);
+      spec.stack = AlgoStack::kEtob;
+      spec.tauOmega = 800;
+      spec.omegaMode = mode;
+      ShardedService svc(spec, seed);
+      ShardRouter router(svc);
+      std::vector<std::uint64_t> shard0Keys;
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        if (svc.ownerOf(k) == 0) shard0Keys.push_back(k);
+      }
+      ASSERT_FALSE(shard0Keys.empty());
+      UniformKeyGenerator gen(kKeys, splitmix64(seed));
+      for (std::uint64_t i = 0; i < 120; ++i) {
+        svc.advanceBy(10);
+        router.put(gen.next(), i + 1);
+        const ProcessId writer = static_cast<ProcessId>(1 + i % 2);
+        svc.shard(0).client(writer).put(
+            shard0Keys[i % shard0Keys.size()], 10'000 + i);
+        for (std::uint64_t key = 0; key < kKeys; ++key) {
+          const std::optional<std::uint64_t> got = router.get(key);
+          const std::size_t s = svc.ownerOf(key);
+          const Client c = svc.shard(s).client(svc.readReplicaOf(s));
+          std::uint64_t value = 0;
+          std::uint64_t version = 0;
+          for (const MsgId id : c.delivered()) {
+            const std::vector<std::uint64_t>* body = c.findBody(id);
+            ASSERT_NE(body, nullptr);
+            if (body->size() == 3 &&
+                (*body)[0] == static_cast<std::uint64_t>(SmOp::kPut) &&
+                (*body)[1] == key) {
+              value = (*body)[2];
+              ++version;
+            }
+          }
+          ASSERT_EQ(got.has_value(), version > 0)
+              << "seed " << seed << " key " << key << " interval " << i;
+          EXPECT_EQ(router.ops().back().version, version);
+          if (got) {
+            EXPECT_EQ(*got, value);
+          }
+        }
+      }
+      EXPECT_GT(router.refolds(), 0u)
+          << "mode " << static_cast<int>(mode) << " seed " << seed;
+    }
   }
 }
 
